@@ -28,6 +28,11 @@ void PublishEvent(const MaritimeEvent& event, PipelineContext* pipeline,
   }
 }
 
+/// Time of a forecast's present position (the end of its input window).
+TimeMicros AnchorTime(const ForecastTrajectory& trajectory) {
+  return trajectory.points.empty() ? 0 : trajectory.points.front().time;
+}
+
 }  // namespace
 
 std::string VesselActorName(Mmsi mmsi) {
@@ -205,13 +210,20 @@ Status VesselActor::HandleForecastResult(const ForecastResultMsg& result,
     pipeline_->stage_forecast->Observe(result.forecast_nanos);
   }
   if (result.ok) {
-    latest_forecast_ = result.trajectory;
-    latest_forecast_.mmsi = mmsi_;
-    has_forecast_ = true;
     pipeline_->forecasts_generated.fetch_add(1, std::memory_order_relaxed);
-    PublishForecast(latest_forecast_, ctx);
-    // Refresh the writer's view now that the forecast exists.
-    PublishState(latest_report_, ctx);
+    // Batches complete in submission order, but a refused Submit makes the
+    // actor forecast a later window inline and apply it at once; the
+    // earlier window's queued result then lands afterwards. It still
+    // counts as generated, but must not replace the newer forecast.
+    if (!has_forecast_ || AnchorTime(result.trajectory) >=
+                              AnchorTime(latest_forecast_)) {
+      latest_forecast_ = result.trajectory;
+      latest_forecast_.mmsi = mmsi_;
+      has_forecast_ = true;
+      PublishForecast(latest_forecast_, ctx);
+      // Refresh the writer's view now that the forecast exists.
+      PublishState(latest_report_, ctx);
+    }
   }
   // Complete the Figure-6 measurement for the originating message: its
   // synchronous share, its slice of the batched forward, and this fan-out.

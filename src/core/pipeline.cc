@@ -160,13 +160,20 @@ void MaritimePipeline::AwaitQuiescence() {
   // enqueue forecast requests, and flushing those requests Tells results
   // back into the mailboxes. Alternate until both are quiet. Once the
   // system is quiescent no actor can submit, so a batcher that is also
-  // quiescent ends the loop.
+  // quiescent ends the loop — unless the serving thread delivered a result
+  // after the actor quiesce had already returned, which then has to be
+  // drained by another one.
   for (;;) {
+    const uint64_t delivered =
+        batcher_ == nullptr ? 0 : batcher_->Delivered();
     system_->AwaitQuiescence();
     if (batcher_ == nullptr) return;
-    if (batcher_->Flush() == 0 && batcher_->Quiescent()) return;
-    // A concurrent flusher (ticker or submitting thread) still owns a
-    // batch; let it finish delivering before re-checking.
+    if (batcher_->Flush() == 0 && batcher_->Quiescent() &&
+        batcher_->Delivered() == delivered) {
+      return;
+    }
+    // The serving thread may still own a batch; let it finish delivering
+    // before re-checking.
     std::this_thread::yield();
   }
 }

@@ -75,10 +75,12 @@ struct PipelineConfig {
   bool batched_inference = true;
   /// Requests coalesced per batched forward.
   int inference_batch_size = 32;
-  /// Straggler flush deadline for partial batches.
+  /// Age of the oldest pending request at which a partial batch runs.
   int64_t inference_flush_micros = 2000;
-  /// Run the batcher's background deadline ticker. Off = partial batches
-  /// only flush via AwaitQuiescence (deterministic-scheduler tests).
+  /// Run the batcher's serving thread, which then runs every batch in
+  /// submission order off the actor dispatchers. Off = full batches run
+  /// inline on the submitting actor and partial batches only flush via
+  /// AwaitQuiescence (deterministic-scheduler tests).
   bool inference_background_flusher = true;
   /// Registry all pipeline substrates (actor system, broker, store, stage
   /// histograms) report into. Null = process global. Also applied to
@@ -186,7 +188,8 @@ class MaritimePipeline {
   /// ingested. Call repeatedly (or from a pump thread) to drain.
   int PumpIngestion(int max_records = 1024);
 
-  /// Blocks until all in-flight actor messages are processed.
+  /// Blocks until all in-flight actor messages are processed, including
+  /// every batched forecast result and the messages it caused.
   void AwaitQuiescence();
 
   // -- Queries -----------------------------------------------------------

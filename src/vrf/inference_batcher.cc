@@ -1,9 +1,18 @@
 #include "vrf/inference_batcher.h"
 
-#include <chrono>
+#include <algorithm>
 #include <utility>
 
 namespace marlin {
+namespace {
+
+int64_t NanosBetween(std::chrono::steady_clock::time_point from,
+                     std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+      .count();
+}
+
+}  // namespace
 
 InferenceBatcher::InferenceBatcher(const RouteForecaster* forecaster,
                                    const Options& options)
@@ -23,10 +32,13 @@ InferenceBatcher::InferenceBatcher(const RouteForecaster* forecaster,
       "marlin_nn_inference_nanos",
       "SequenceRegressor inference latency in nanoseconds per sample",
       {{"mode", "batched"}});
+  queue_wait_hist_ = registry->GetHistogram(
+      "marlin_nn_inference_queue_wait_nanos",
+      "Time from Submit to the start of the request's batched forward");
   if (options_.background_flusher) {
-    // See the ticker_ member note.
-    ticker_ = std::thread([this] {  // chk-lint: allow(no-raw-thread)
-      TickerLoop();
+    // See the server_ member note.
+    server_ = std::thread([this] {  // chk-lint: allow(no-raw-thread)
+      ServeLoop();
     });
   }
 }
@@ -34,7 +46,8 @@ InferenceBatcher::InferenceBatcher(const RouteForecaster* forecaster,
 InferenceBatcher::~InferenceBatcher() { Stop(); }
 
 Status InferenceBatcher::Submit(const SvrfInput& input, Callback callback) {
-  std::vector<Request> batch;
+  const SteadyTime now = std::chrono::steady_clock::now();
+  bool wake_server = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
@@ -45,44 +58,33 @@ Status InferenceBatcher::Submit(const SvrfInput& input, Callback callback) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::ResourceExhausted("inference batch queue full");
     }
-    pending_.push_back(Request{input, std::move(callback)});
+    pending_.push_back(Request{input, std::move(callback), now});
     submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (static_cast<int>(pending_.size()) < options_.max_batch) {
+    const int size = static_cast<int>(pending_.size());
+    if (options_.background_flusher) {
+      // The first request starts the server's deadline wait; a full batch
+      // ends it.
+      wake_server = size == 1 || size == options_.max_batch;
+    } else if (size < options_.max_batch) {
       return Status::Ok();
     }
-    // This submit completed a batch: take it and run it on this thread
-    // (leader/follower — no wake-up latency, no idle flusher thread).
-    batch.swap(pending_);
-    in_flight_.fetch_add(static_cast<int>(batch.size()),
-                         std::memory_order_relaxed);
   }
-  RunBatch(&batch, /*size_flush=*/true);
+  if (options_.background_flusher) {
+    if (wake_server) serve_cv_.notify_one();
+  } else {
+    // No serving thread: this submit completed a batch, so run it here.
+    RunNextBatch(options_.max_batch);
+  }
   return Status::Ok();
 }
 
 int InferenceBatcher::Flush() {
   int flushed = 0;
   for (;;) {
-    std::vector<Request> batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) break;
-      if (static_cast<int>(pending_.size()) <= options_.max_batch) {
-        batch.swap(pending_);
-      } else {
-        batch.assign(std::make_move_iterator(pending_.begin()),
-                     std::make_move_iterator(pending_.begin() +
-                                             options_.max_batch));
-        pending_.erase(pending_.begin(),
-                       pending_.begin() + options_.max_batch);
-      }
-      in_flight_.fetch_add(static_cast<int>(batch.size()),
-                           std::memory_order_relaxed);
-    }
-    flushed += static_cast<int>(batch.size());
-    RunBatch(&batch, /*size_flush=*/false);
+    const int n = RunNextBatch(1);
+    if (n == 0) return flushed;
+    flushed += n;
   }
-  return flushed;
 }
 
 void InferenceBatcher::Stop() {
@@ -94,8 +96,8 @@ void InferenceBatcher::Stop() {
     }
     stopped_ = true;
   }
-  ticker_cv_.notify_all();
-  if (ticker_.joinable()) ticker_.join();
+  serve_cv_.notify_all();
+  if (server_.joinable()) server_.join();
   Flush();
 }
 
@@ -114,51 +116,83 @@ InferenceBatcher::Stats InferenceBatcher::stats() const {
   return s;
 }
 
-void InferenceBatcher::RunBatch(std::vector<Request>* batch, bool size_flush) {
-  if (batch->empty()) return;
-  const int n = static_cast<int>(batch->size());
-  std::vector<SvrfInput> inputs;
-  inputs.reserve(batch->size());
-  for (const Request& r : *batch) inputs.push_back(r.input);
+int InferenceBatcher::RunNextBatch(int min_size) {
+  // The run lock is taken before dequeuing: whoever dequeues first also
+  // finishes first, so batches complete in submission order.
+  std::lock_guard<std::mutex> run_lock(run_mu_);
+  int n = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    n = std::min(static_cast<int>(pending_.size()), options_.max_batch);
+    if (n == 0 || n < min_size) return 0;
+    for (int i = 0; i < n; ++i) {
+      batch_.push_back(std::move(pending_.front()));
+      pending_.pop_front();
+    }
+    in_flight_.fetch_add(n, std::memory_order_relaxed);
+  }
+  RunBatch();
+  return n;
+}
 
-  std::vector<StatusOr<ForecastTrajectory>> results;
-  const auto start = std::chrono::steady_clock::now();
-  forecaster_->ForecastBatch(inputs, &results);
+void InferenceBatcher::RunBatch() {
+  const int n = static_cast<int>(batch_.size());
+  inputs_.clear();
+  for (const Request& r : batch_) inputs_.push_back(r.input);
+
+  // Batches run one at a time under run_mu_, so these observations never
+  // contend with each other.
+  const SteadyTime start = std::chrono::steady_clock::now();
+  for (const Request& r : batch_) {
+    queue_wait_hist_->Observe(NanosBetween(r.enqueued, start));
+  }
+  forecaster_->ForecastBatch(inputs_, &results_);
   const int64_t total_nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+      NanosBetween(start, std::chrono::steady_clock::now());
 
   batches_.fetch_add(1, std::memory_order_relaxed);
-  (size_flush ? size_flushes_ : deadline_flushes_)
+  (n == options_.max_batch ? size_flushes_ : deadline_flushes_)
       .fetch_add(1, std::memory_order_relaxed);
   batch_size_hist_->Observe(n);
   const int64_t per_item_nanos = total_nanos / n;
   per_item_nanos_hist_->Observe(per_item_nanos);
 
   for (int i = 0; i < n; ++i) {
-    if (static_cast<size_t>(i) < results.size()) {
-      (*batch)[static_cast<size_t>(i)].callback(
-          std::move(results[static_cast<size_t>(i)]), per_item_nanos);
+    const size_t k = static_cast<size_t>(i);
+    if (k < results_.size()) {
+      batch_[k].callback(std::move(results_[k]), per_item_nanos);
     } else {
       // A forecaster that under-fills `results` violates the contract;
       // surface it per-item rather than dropping the callback.
-      (*batch)[static_cast<size_t>(i)].callback(
-          Status::Internal("forecaster returned short batch"), per_item_nanos);
+      batch_[k].callback(Status::Internal("forecaster returned short batch"),
+                         per_item_nanos);
     }
+    // Count the delivery before leaving in-flight, so a caller that sees
+    // Quiescent() also sees every delivery (see Delivered()).
+    delivered_.fetch_add(1, std::memory_order_release);
     in_flight_.fetch_sub(1, std::memory_order_release);
   }
+  batch_.clear();
 }
 
-void InferenceBatcher::TickerLoop() {
+void InferenceBatcher::ServeLoop() {
+  const auto deadline =
+      std::chrono::microseconds(options_.flush_deadline_micros);
   std::unique_lock<std::mutex> lock(mu_);
-  while (!stopped_) {
-    ticker_cv_.wait_for(
-        lock, std::chrono::microseconds(options_.flush_deadline_micros));
-    if (stopped_) break;
-    if (pending_.empty()) continue;
+  for (;;) {
+    serve_cv_.wait(lock, [this] { return stopped_ || !pending_.empty(); });
+    if (stopped_) return;
+    if (static_cast<int>(pending_.size()) < options_.max_batch) {
+      const SteadyTime due = pending_.front().enqueued + deadline;
+      if (std::chrono::steady_clock::now() < due) {
+        // Woken by a full batch, Stop() or the deadline: decide again, as
+        // a Flush() may have taken the oldest request meanwhile.
+        serve_cv_.wait_until(lock, due);
+        continue;
+      }
+    }
     lock.unlock();
-    Flush();
+    RunNextBatch(1);
     lock.lock();
   }
 }

@@ -2,8 +2,10 @@
 #define MARLIN_VRF_INFERENCE_BATCHER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -19,13 +21,20 @@ namespace marlin {
 /// network overhead that dominates the per-message cost at saturation
 /// (the Figure 6 plateau).
 ///
-/// Flush policy: a batch runs as soon as `max_batch` requests are pending —
-/// on the thread whose Submit completed the batch (leader/follower, no
-/// hand-off latency) — and a background ticker flushes stragglers that have
-/// waited about `flush_deadline_micros` (worst case one extra tick).
-/// Callbacks are invoked on whichever thread runs the flush, so they must
-/// be thread-safe; actor callers satisfy this by Tell-ing the result back
-/// to themselves.
+/// Serving policy: with `background_flusher` on, one serving thread runs
+/// every batch. Submit only enqueues and wakes it when a batch fills; the
+/// thread runs full batches as they form and a partial batch once its
+/// oldest request has waited `flush_deadline_micros`. The forward therefore
+/// never holds a submitter's (actor dispatcher's) thread. With the thread
+/// off, a full batch runs inline on the Submit that completed it.
+///
+/// Ordering: every batch runs under one run lock, and each runner (the
+/// serving thread, an inline Submit, Flush, Stop) takes that lock *before*
+/// dequeuing its batch, so batches complete in submission order and one
+/// submitter's callbacks fire in its submission order. Callbacks run under
+/// the run lock on whichever thread runs the batch: they must be
+/// thread-safe and must not call back into the batcher. Actor callers
+/// satisfy this by Tell-ing the result back to themselves.
 ///
 /// Determinism: with `background_flusher=false` nothing runs until Submit
 /// fills a batch or the caller invokes Flush(), which makes the batcher
@@ -35,16 +44,18 @@ namespace marlin {
 class InferenceBatcher {
  public:
   struct Options {
-    /// Requests per batch; a full batch flushes inline on the submitter.
+    /// Requests per batch.
     int max_batch = 32;
     /// Pending-queue cap; Submit returns ResourceExhausted beyond it and
     /// the caller falls back to a synchronous forecast (backpressure
     /// instead of unbounded buffering).
     int max_queue = 4096;
-    /// Age at which the ticker flushes a partial batch.
+    /// Age of the oldest pending request at which a partial batch runs.
     int64_t flush_deadline_micros = 2000;
-    /// Start the deadline ticker thread. Turn off in deterministic tests
-    /// and drive Flush() manually.
+    /// Start the serving thread, which then runs every batch (full ones as
+    /// they form, partial ones at the deadline). Off = no thread: full
+    /// batches run inline on the submitter and partial ones only via
+    /// Flush(); use this under the deterministic scheduler.
     bool background_flusher = true;
     /// Metrics sink; null = process-global registry.
     obs::MetricsRegistry* metrics = nullptr;
@@ -64,17 +75,18 @@ class InferenceBatcher {
   InferenceBatcher& operator=(const InferenceBatcher&) = delete;
 
   /// Enqueues one request; `callback` fires exactly once with the result
-  /// (from a flushing thread). Fails with ResourceExhausted when the queue
-  /// is full and with FailedPrecondition after Stop(); on failure the
-  /// callback is NOT invoked and the caller owns the fallback.
+  /// (from the thread that runs its batch). Fails with ResourceExhausted
+  /// when the queue is full and with FailedPrecondition after Stop(); on
+  /// failure the callback is NOT invoked and the caller owns the fallback.
   Status Submit(const SvrfInput& input, Callback callback);
 
   /// Drains every pending request on the calling thread (possibly several
-  /// batches). Returns the number of requests flushed.
+  /// batches, each under the run lock). Returns the number of requests
+  /// flushed.
   int Flush();
 
-  /// Stops the ticker and flushes the remainder. Idempotent; implied by the
-  /// destructor. After Stop, Submit fails.
+  /// Stops the serving thread and flushes the remainder. Idempotent;
+  /// implied by the destructor. After Stop, Submit fails.
   void Stop();
 
   /// True when no requests are pending AND no taken batch is still running
@@ -82,45 +94,64 @@ class InferenceBatcher {
   /// means every callback has fired.
   bool Quiescent() const;
 
+  /// Callbacks fired so far (monotonic). A caller that snapshots it before
+  /// waiting for the callbacks' downstream work and finds it unchanged
+  /// afterwards knows no callback fired in between.
+  uint64_t Delivered() const {
+    return delivered_.load(std::memory_order_acquire);
+  }
+
   struct Stats {
     uint64_t submitted = 0;
     uint64_t rejected = 0;
     uint64_t batches = 0;
-    uint64_t size_flushes = 0;      // batches flushed because they filled
-    uint64_t deadline_flushes = 0;  // batches flushed by tick or Flush()
+    uint64_t size_flushes = 0;      // batches run because they were full
+    uint64_t deadline_flushes = 0;  // partial batches (deadline or Flush())
   };
   Stats stats() const;
 
   const Options& options() const { return options_; }
 
  private:
+  using SteadyTime = std::chrono::steady_clock::time_point;
+
   struct Request {
     SvrfInput input;
     Callback callback;
+    SteadyTime enqueued;
   };
 
-  /// Runs one batch through the forecaster and fires its callbacks. Called
-  /// without `mu_` held.
-  void RunBatch(std::vector<Request>* batch, bool size_flush);
+  /// Takes the run lock, dequeues up to `max_batch` requests from the front
+  /// of the queue (none when fewer than `min_size` are pending), and runs
+  /// them. Returns the number of requests run.
+  int RunNextBatch(int min_size);
 
-  void TickerLoop();
+  /// Runs batch_ through the forecaster and fires its callbacks. Called
+  /// with run_mu_ held and mu_ released.
+  void RunBatch();
+
+  void ServeLoop();
 
   const RouteForecaster* forecaster_;
   const Options options_;
 
   mutable std::mutex mu_;
-  std::vector<Request> pending_;  // guarded by mu_
-  bool stopped_ = false;          // guarded by mu_
+  std::deque<Request> pending_;  // guarded by mu_
+  bool stopped_ = false;         // guarded by mu_
   /// Requests removed from pending_ whose callbacks have not fired yet.
   /// Incremented under mu_ when a batch is taken (so there is no window
   /// where a request is in neither count), decremented after its callback.
   std::atomic<int> in_flight_{0};
-  std::condition_variable ticker_cv_;
-  /// Deadline ticker. A raw thread rather than a Dispatcher task because it
-  /// must fire while the actor system is busy (that is its whole job) and
-  /// it is disabled under the deterministic scheduler
-  /// (background_flusher=false).
-  std::thread ticker_;  // chk-lint: allow(no-raw-thread)
+  std::atomic<uint64_t> delivered_{0};
+  std::condition_variable serve_cv_;
+
+  /// Serialises batches: held from dequeue until the last callback fired.
+  /// Lock order: run_mu_ before mu_.
+  std::mutex run_mu_;
+  // Scratch reused by every batch; guarded by run_mu_.
+  std::vector<Request> batch_;
+  std::vector<SvrfInput> inputs_;
+  std::vector<StatusOr<ForecastTrajectory>> results_;
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_{0};
@@ -131,9 +162,13 @@ class InferenceBatcher {
   // Cached metric handles (stable pointers; see MetricsRegistry docs).
   obs::Histogram* batch_size_hist_;
   obs::Histogram* per_item_nanos_hist_;
+  obs::Histogram* queue_wait_hist_;
 
-  // Scratch reused across RunBatch calls on the flushing thread would race;
-  // kept per-call (vectors are cheap next to the network forward).
+  /// Serving thread, declared after every member it uses. A raw thread
+  /// rather than a Dispatcher task because it must run while the actor
+  /// system is busy (that is its whole job), and it is disabled under the
+  /// deterministic scheduler (background_flusher=false).
+  std::thread server_;  // chk-lint: allow(no-raw-thread)
 };
 
 }  // namespace marlin

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <any>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "ais/codec.h"
+#include "ais/preprocess.h"
+#include "core/actors.h"
 #include "core/pipeline.h"
 #include "geo/geodesy.h"
 #include "sim/fleet.h"
 #include "sim/proximity_dataset.h"
 #include "geo/world.h"
+#include "vrf/inference_batcher.h"
 #include "vrf/linear_model.h"
+#include "vrf/svrf_model.h"
 
 namespace marlin {
 namespace {
@@ -275,6 +283,145 @@ TEST(PipelineTest, EndToEndFleetSoak) {
   EXPECT_GT(stats.forecasts_generated, 0);
   // Every distinct vessel has a state entry in the store.
   EXPECT_GE(pipeline->store().ScanPrefix("vessel:").size(), 35u);
+}
+
+// ------------------------------------------------ batched forecast results
+
+/// Positions of `vessels` straight eastward tracks, `points` one-minute
+/// steps each, interleaved in time order. Vessel v sails latitude
+/// 38 + v/10, far enough from its neighbours to raise no events.
+std::vector<AisPosition> InterleavedTracks(Mmsi first_mmsi, int vessels,
+                                           int points) {
+  std::vector<AisPosition> out;
+  std::vector<LatLng> pos;
+  for (int v = 0; v < vessels; ++v) {
+    pos.push_back(LatLng{38.0 + v * 0.1, 24.0});
+  }
+  for (int i = 0; i < points; ++i) {
+    for (int v = 0; v < vessels; ++v) {
+      const LatLng& p = pos[static_cast<size_t>(v)];
+      out.push_back(At(first_mmsi + static_cast<Mmsi>(v),
+                       static_cast<TimeMicros>(i) * kMicrosPerMinute,
+                       p.lat_deg, p.lon_deg));
+      pos[static_cast<size_t>(v)] =
+          DestinationPoint(p, 90.0, 12.0 * kKnotsToMps * 60.0);
+    }
+  }
+  return out;
+}
+
+/// Forecasts a pipeline must generate for `positions`: one per accepted
+/// position that leaves the vessel's window ready.
+int64_t HistoryReplayCount(const std::vector<AisPosition>& positions) {
+  std::map<Mmsi, VesselHistory> histories;
+  int64_t count = 0;
+  for (const AisPosition& p : positions) {
+    VesselHistory& history = histories[p.mmsi];
+    if (history.Push(p) && history.Ready()) ++count;
+  }
+  return count;
+}
+
+TEST(PipelineQuiescenceTest, ForecastCountMatchesReplayAfterEveryQuiesce) {
+  // Regression: the batcher's serving thread Tells results into vessel
+  // mailboxes. A result delivered after AwaitQuiescence's actor quiesce had
+  // returned was left unprocessed, so forecasts_generated read right after
+  // AwaitQuiescence() fell short of the replay count. The 20 µs deadline
+  // hands the last partial batch to the serving thread, and the compact
+  // S-VRF's forward lasts long enough for the actors to go quiet under it.
+  SvrfModel::Config model_config;
+  model_config.hidden_dim = 20;
+  model_config.dense_dim = 20;
+  auto model = std::make_shared<SvrfModel>(model_config);
+  const std::vector<AisPosition> positions = InterleavedTracks(5000, 64, 30);
+  const int64_t expected = HistoryReplayCount(positions);
+  ASSERT_GT(expected, 0);
+
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int rounds = 0;
+  do {
+    obs::MetricsRegistry registry;
+    PipelineConfig config;
+    config.actor_system.num_threads = 2;
+    config.inference_flush_micros = 20;
+    config.metrics = &registry;
+    MaritimePipeline pipeline(model, config);
+    ASSERT_TRUE(pipeline.Start().ok());
+    for (const AisPosition& p : positions) {
+      ASSERT_TRUE(pipeline.Ingest(p).ok());
+    }
+    pipeline.AwaitQuiescence();
+    ASSERT_EQ(pipeline.Stats().forecasts_generated, expected)
+        << "round " << rounds;
+    pipeline.Stop();
+    ++rounds;
+  } while (std::chrono::steady_clock::now() < end);
+}
+
+TEST(VesselActorTest, OlderBatchedResultDoesNotReplaceNewerInlineForecast) {
+  // Regression: with a one-slot batcher queue, the first ready window is
+  // queued and every later one is refused, so the actor forecasts those
+  // inline and applies them at once. The queued (older) result lands last
+  // on Flush() and used to overwrite the newest forecast.
+  obs::MetricsRegistry registry;
+  PipelineConfig config;
+  config.metrics = &registry;
+  LinearKinematicModel model;
+  KvStore store(nullptr, 16, &registry);
+  Broker broker(&registry);
+  LatencyRecorder latency;
+  ActorSystemConfig system_config;
+  system_config.num_threads = 2;
+  system_config.metrics = &registry;
+  ActorSystem system(system_config);
+  InferenceBatcher::Options batcher_options;
+  batcher_options.max_queue = 1;
+  batcher_options.background_flusher = false;
+  batcher_options.metrics = &registry;
+  InferenceBatcher batcher(&model, batcher_options);
+
+  PipelineContext context;
+  context.config = &config;
+  context.forecaster = &model;
+  context.store = &store;
+  context.broker = &broker;
+  context.latency = &latency;
+  context.system = &system;
+  context.batcher = &batcher;
+  auto writer = system.SpawnActor<WriterActor>("writer-0", &context, 0);
+  ASSERT_TRUE(writer.ok());
+  context.writers.push_back(*writer);
+  constexpr Mmsi kMmsi = 4242;
+  auto vessel =
+      system.SpawnActor<VesselActor>(VesselActorName(kMmsi), kMmsi, &context);
+  ASSERT_TRUE(vessel.ok());
+
+  const std::vector<AisPosition> positions = InterleavedTracks(kMmsi, 1, 25);
+  VesselHistory history;
+  for (const AisPosition& p : positions) {
+    history.Push(p);
+    system.Tell(*vessel, PositionMsg{p, 0});
+  }
+  system.AwaitQuiescence();
+  EXPECT_EQ(batcher.stats().rejected, 4u);
+  EXPECT_EQ(batcher.Flush(), 1);
+  system.AwaitQuiescence();
+
+  EXPECT_EQ(context.forecasts_generated.load(), HistoryReplayCount(positions));
+  const std::any reply = system.Ask(*vessel, GetForecastQuery{}).get();
+  const auto* held = std::any_cast<TrajectoryMsg>(&reply);
+  ASSERT_NE(held, nullptr);
+  const auto expected = model.Forecast(history.MakeInput());
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(held->trajectory.points.size(), expected->points.size());
+  for (size_t i = 0; i < expected->points.size(); ++i) {
+    EXPECT_EQ(held->trajectory.points[i].time, expected->points[i].time);
+    EXPECT_EQ(held->trajectory.points[i].position.lat_deg,
+              expected->points[i].position.lat_deg);
+    EXPECT_EQ(held->trajectory.points[i].position.lon_deg,
+              expected->points[i].position.lon_deg);
+  }
+  system.Shutdown();
 }
 
 }  // namespace

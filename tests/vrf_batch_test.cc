@@ -1,13 +1,18 @@
 // Batched S-VRF inference tests (DESIGN.md §10): ForecastBatch bitwise
-// equality with single-input Forecast, the InferenceBatcher flush policy
-// and exactly-once callback contract (including concurrent submits), the
-// thread-local replica eviction regression, the FeatureScaler empty-fit
-// guard, and the batched pipeline under the chk deterministic scheduler.
+// equality with single-input Forecast, the InferenceBatcher flush policy,
+// exactly-once callback contract (including concurrent submits) and
+// submission-order batch completion, the thread-local replica eviction
+// regression, the FeatureScaler empty-fit guard, and the batched pipeline
+// under the chk deterministic scheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -234,6 +239,13 @@ TEST_F(InferenceBatcherTest, PartialBatchDefersUntilFlush) {
   EXPECT_EQ(batcher.Flush(), 3);
   EXPECT_EQ(fired.load(), 3);
   EXPECT_TRUE(batcher.Quiescent());
+  // Each request's queue wait is observed once, when its batch starts.
+  EXPECT_EQ(registry_
+                .GetHistogram("marlin_nn_inference_queue_wait_nanos",
+                              "Time from Submit to the start of the "
+                              "request's batched forward")
+                ->Count(),
+            3u);
   const auto stats = batcher.stats();
   EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.batches, 1u);
@@ -315,8 +327,8 @@ TEST_F(InferenceBatcherTest, FlushDrainsBacklogInMaxBatchChunks) {
 }
 
 TEST_F(InferenceBatcherTest, ConcurrentSubmitsFireEveryCallbackExactlyOnce) {
-  // TSan target: submitting threads race the background ticker and each
-  // other's inline size-flushes; every callback must fire exactly once.
+  // TSan target: submitting threads race each other and the serving
+  // thread's dequeues; every callback must fire exactly once.
   InferenceBatcher::Options options;
   options.max_batch = 4;
   options.flush_deadline_micros = 200;
@@ -347,6 +359,89 @@ TEST_F(InferenceBatcherTest, ConcurrentSubmitsFireEveryCallbackExactlyOnce) {
   EXPECT_TRUE(batcher.Quiescent());
   EXPECT_EQ(batcher.stats().submitted,
             static_cast<uint64_t>(kThreads * kPerThread));
+}
+
+/// Forecaster whose first ForecastBatch waits up to 200 ms for a later
+/// batch's callbacks to have fired (reported through LaterBatchDone()).
+/// When batches run concurrently the later batch completes first; when
+/// they are serialised the wait times out.
+class FirstBatchWaitsForecaster : public RouteForecaster {
+ public:
+  StatusOr<ForecastTrajectory> Forecast(const SvrfInput& input) const override {
+    ForecastTrajectory trajectory;
+    trajectory.points.push_back(ForecastPoint{input.anchor, input.anchor_time});
+    return trajectory;
+  }
+
+  void ForecastBatch(
+      const std::vector<SvrfInput>& inputs,
+      std::vector<StatusOr<ForecastTrajectory>>* results) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (calls_++ == 0) {
+        cv_.notify_all();
+        cv_.wait_for(lock, std::chrono::milliseconds(200),
+                     [this] { return later_done_; });
+      }
+    }
+    RouteForecaster::ForecastBatch(inputs, results);
+  }
+
+  void LaterBatchDone() {
+    std::lock_guard<std::mutex> lock(mu_);
+    later_done_ = true;
+    cv_.notify_all();
+  }
+
+  /// Blocks until the first ForecastBatch call has started.
+  bool AwaitFirstBatch() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return calls_ > 0; });
+  }
+
+  std::string_view name() const override { return "first-batch-waits"; }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int calls_ = 0;
+  bool later_done_ = false;
+};
+
+TEST_F(InferenceBatcherTest, BatchesCompleteInSubmissionOrder) {
+  // Regression: a full batch used to run on the thread whose Submit filled
+  // it, so a later batch could overtake an earlier one and a vessel's
+  // results reached its mailbox out of order (observed: 2 2 2 2 1 1 1 1).
+  FirstBatchWaitsForecaster forecaster;
+  InferenceBatcher::Options options;
+  options.max_batch = 4;
+  // Only full batches run, so each thread's four requests form one batch.
+  options.flush_deadline_micros = 60'000'000;
+  options.background_flusher = true;
+  options.metrics = &registry_;
+  InferenceBatcher batcher(&forecaster, options);
+  std::mutex order_mu;
+  std::vector<int> order;
+  int second_fired = 0;
+  const auto fill_batch = [&](int tag) {
+    for (int i = 0; i < 4; ++i) {
+      const Status status = batcher.Submit(
+          samples_[0].input, [&, tag](StatusOr<ForecastTrajectory>, int64_t) {
+            std::lock_guard<std::mutex> lock(order_mu);
+            order.push_back(tag);
+            if (tag == 2 && ++second_fired == 4) forecaster.LaterBatchDone();
+          });
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+  };
+  std::thread first([&] { fill_batch(1); });
+  EXPECT_TRUE(forecaster.AwaitFirstBatch());
+  std::thread second([&] { fill_batch(2); });
+  first.join();
+  second.join();
+  batcher.Stop();
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 1, 1, 2, 2, 2, 2}));
 }
 
 // ------------------------------------------- pipeline under chk scheduler
@@ -419,10 +514,14 @@ TEST(BatchedPipelineChkTest, BatchedInferenceRunsUnderDeterministicScheduler) {
 }
 
 TEST(BatchedPipelineChkTest, BatchedForecastsBitwiseMatchInlineForecasts) {
-  // End-to-end value equivalence: the same track through a batched and an
-  // unbatched pipeline (same untrained model weights via the fixed seed)
-  // must yield bitwise-identical final forecasts.
-  ForecastTrajectory trajectories[2];
+  // End-to-end value equivalence: the same interleaved tracks through a
+  // batched and an unbatched pipeline (same untrained model weights via the
+  // fixed seed) must leave every vessel holding a bitwise-identical final
+  // forecast. With many vessels sharing each batch this also catches batch
+  // results applied out of order.
+  constexpr Mmsi kFirst = 1200;
+  constexpr int kVessels = 48;
+  std::vector<ForecastTrajectory> trajectories[2];
   for (const bool batched : {false, true}) {
     obs::MetricsRegistry registry;
     PipelineConfig config;
@@ -431,14 +530,34 @@ TEST(BatchedPipelineChkTest, BatchedForecastsBitwiseMatchInlineForecasts) {
     config.metrics = &registry;
     MaritimePipeline pipeline(std::make_shared<SvrfModel>(), config);
     ASSERT_TRUE(pipeline.Start().ok());
-    FeedStraightTrack(&pipeline, 1234, 40);
+    std::vector<LatLng> pos;
+    for (int v = 0; v < kVessels; ++v) pos.push_back({38.0 + v * 0.01, 24.0});
+    for (int i = 0; i < 40; ++i) {
+      for (int v = 0; v < kVessels; ++v) {
+        LatLng& p = pos[static_cast<size_t>(v)];
+        ASSERT_TRUE(pipeline
+                        .Ingest(At(kFirst + static_cast<Mmsi>(v),
+                                   static_cast<TimeMicros>(i) *
+                                       kMicrosPerMinute,
+                                   p.lat_deg, p.lon_deg))
+                        .ok());
+        p = DestinationPoint(p, 90.0, 12.0 * kKnotsToMps * 60.0);
+      }
+    }
     pipeline.AwaitQuiescence();
-    const auto forecast = pipeline.LatestForecast(1234);
-    ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
-    trajectories[batched ? 1 : 0] = *forecast;
+    for (int v = 0; v < kVessels; ++v) {
+      const auto forecast =
+          pipeline.LatestForecast(kFirst + static_cast<Mmsi>(v));
+      ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+      trajectories[batched ? 1 : 0].push_back(*forecast);
+    }
     pipeline.Stop();
   }
-  ExpectTrajectoriesBitwiseEqual(trajectories[0], trajectories[1]);
+  for (int v = 0; v < kVessels; ++v) {
+    SCOPED_TRACE("vessel " + std::to_string(v));
+    ExpectTrajectoriesBitwiseEqual(trajectories[0][static_cast<size_t>(v)],
+                                   trajectories[1][static_cast<size_t>(v)]);
+  }
 }
 
 }  // namespace
