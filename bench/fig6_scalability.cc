@@ -1,8 +1,11 @@
 // Reproduces Figure 6 of the paper: average per-message processing time
-// (moving window of 100 actors) against the number of distinct vessels
-// (actors) live on the system, while the full pipeline — ingestion, vessel
-// actors running the shared S-VRF, cell/collision/traffic actors, writer —
-// consumes a growing global AIS stream on a single node.
+// against the number of distinct vessels (actors) live on the system, while
+// the full pipeline — ingestion, vessel actors running the shared S-VRF,
+// cell/collision/traffic actors, writer — consumes a growing global AIS
+// stream on a single node. The paper averages over a moving window of 100
+// actors; here the window is one 20 s replay step: each point is the mean
+// of the position-stage histogram (charged once per vessel message) over
+// the messages of one step, against the live actor count after it.
 //
 // The paper ran 72 h against the live MarineTraffic feed on a 12-core VM
 // and reached 170K vessel actors, observing an initialisation-phase
@@ -40,6 +43,7 @@
 #include "cluster/transport.h"
 #include "core/pipeline.h"
 #include "nn/simd.h"
+#include "obs/metrics.h"
 #include "sim/des/event_fleet.h"
 #include "util/clock.h"
 #include "vrf/svrf_model.h"
@@ -62,6 +66,77 @@ struct Fig6Counts {
   double wall_sec = 0.0;
 };
 
+/// The Figure-6 curve. Sample() runs after each replay step's quiesce and
+/// emits one point: the live actor count and the mean of the position-stage
+/// histogram over the messages charged since the previous sample.
+class Fig6Curve {
+ public:
+  /// Mean and peak of the points in one actor-count range.
+  struct Span {
+    double mean = 0.0;
+    double peak = 0.0;
+    int64_t n = 0;
+  };
+
+  /// Call after `pipeline` has started. Samples count from the histogram's
+  /// reading here: a shared registry may already hold another run's
+  /// messages (`--verify` runs two pipelines on the global one).
+  explicit Fig6Curve(MaritimePipeline* pipeline)
+      : pipeline_(pipeline),
+        position_(pipeline->metrics()->GetHistogram(
+            "marlin_pipeline_stage_nanos", "", {{"stage", "position"}})),
+        last_count_(position_->Count()),
+        last_sum_(position_->Sum()) {}
+
+  void Sample() {
+    const uint64_t count = position_->Count();
+    const double sum = position_->Sum();
+    if (count > last_count_) {
+      const auto actors = static_cast<int64_t>(pipeline_->Stats().actor_count);
+      max_actors_ = std::max(max_actors_, actors);
+      const auto charged = static_cast<double>(count - last_count_);
+      points_.push_back({actors, (sum - last_sum_) / charged});
+    }
+    last_count_ = count;
+    last_sum_ = sum;
+  }
+
+  bool empty() const { return points_.empty(); }
+  int64_t max_actors() const { return max_actors_; }
+
+  /// The points with lo < actor_count <= hi.
+  Span Between(int64_t lo, int64_t hi) const {
+    Span span;
+    double sum = 0.0;
+    for (const Point& point : points_) {
+      if (point.actor_count <= lo || point.actor_count > hi) continue;
+      sum += point.avg_nanos;
+      span.peak = std::max(span.peak, point.avg_nanos);
+      ++span.n;
+    }
+    if (span.n > 0) span.mean = sum / static_cast<double>(span.n);
+    return span;
+  }
+
+  /// The top quartile of the actor ramp: the saturated plateau.
+  Span TopQuartile() const {
+    return Between(3 * max_actors_ / 4, max_actors_);
+  }
+
+ private:
+  struct Point {
+    int64_t actor_count = 0;
+    double avg_nanos = 0.0;
+  };
+
+  MaritimePipeline* pipeline_;
+  obs::Histogram* position_;
+  uint64_t last_count_;
+  double last_sum_;
+  int64_t max_actors_ = 0;
+  std::vector<Point> points_;
+};
+
 int RunSingleNode(bool virtual_time, bool print_curve,
                   std::shared_ptr<const RouteForecaster> svrf,
                   const World& world, int vessels, double minutes,
@@ -79,7 +154,6 @@ int RunSingleNode(bool virtual_time, bool print_curve,
     chk_sched = std::make_shared<chk::DeterministicScheduler>(chk_seed);
     chk_sched->DisableTraceRecording();  // fingerprint only: millions of drains
     pipeline_config.actor_system.dispatcher = chk_sched;
-    pipeline_config.inference_background_flusher = false;
   }
   MaritimePipeline pipeline(std::move(svrf), pipeline_config);
   const Status started = pipeline.Start();
@@ -100,11 +174,15 @@ int RunSingleNode(bool virtual_time, bool print_curve,
   replay.step_sec = fleet_config.step_sec;
   replay.virtual_time = virtual_time;
   replay.seed = fleet_config.seed;
+  Fig6Curve curve(&pipeline);
   const bench::ReplayResult run = bench::ReplayFleet(
       &fleet, replay,
       [&](const AisPosition& report) { (void)pipeline.Ingest(report); },
       // Bound mailbox backlog: the driver replays faster than real time.
-      [&] { pipeline.AwaitQuiescence(); });
+      [&] {
+        pipeline.AwaitQuiescence();
+        curve.Sample();
+      });
   const double wall_sec = run.wall_sec;
 
   const PipelineStats stats = pipeline.Stats();
@@ -139,83 +217,48 @@ int RunSingleNode(bool virtual_time, bool print_curve,
               stats.mean_processing_nanos / 1000.0);
   if (!print_curve) return 0;
 
-  // Figure-6 curve: bucket the (actor count, windowed average) series.
-  const std::vector<LatencyPoint> series = pipeline.LatencySeries();
-  if (series.empty()) {
-    std::printf("ERROR: no latency series recorded\n");
+  // Figure-6 curve: bucket the (actor count, step average) points.
+  if (curve.empty()) {
+    std::printf("ERROR: no latency points recorded\n");
     return 1;
   }
-  int64_t max_actors = 0;
-  for (const LatencyPoint& point : series) {
-    max_actors = std::max(max_actors, point.actor_count);
-  }
+  const int64_t max_actors = curve.max_actors();
   constexpr int kBuckets = 20;
-  std::vector<double> bucket_sum(kBuckets, 0.0);
-  std::vector<int64_t> bucket_n(kBuckets, 0);
-  std::vector<double> bucket_peak(kBuckets, 0.0);
-  for (const LatencyPoint& point : series) {
-    int bucket = static_cast<int>(point.actor_count * kBuckets /
-                                  (max_actors + 1));
-    bucket = std::clamp(bucket, 0, kBuckets - 1);
-    bucket_sum[bucket] += point.avg_nanos;
-    bucket_peak[bucket] = std::max(bucket_peak[bucket], point.avg_nanos);
-    ++bucket_n[bucket];
-  }
-  std::printf("\n| live actors (bucket) | avg processing (us) | window peak "
-              "(us) |\n");
+  std::printf("\n| live actors (bucket) | avg processing (us) | step peak "
+              "(us)   |\n");
   std::printf("|----------------------|---------------------|------------------|\n");
   for (int bucket = 0; bucket < kBuckets; ++bucket) {
-    if (bucket_n[bucket] == 0) continue;
     const int64_t lo = bucket * (max_actors + 1) / kBuckets;
     const int64_t hi = (bucket + 1) * (max_actors + 1) / kBuckets;
+    const Fig6Curve::Span span = curve.Between(lo - 1, hi - 1);
+    if (span.n == 0) continue;
     std::printf("| %8lld - %-8lld  | %19.1f | %16.1f |\n",
                 static_cast<long long>(lo), static_cast<long long>(hi),
-                bucket_sum[bucket] / bucket_n[bucket] / 1000.0,
-                bucket_peak[bucket] / 1000.0);
+                span.mean / 1000.0, span.peak / 1000.0);
   }
 
   // Shape checks: (a) the init phase (first ~5% of actors) shows transient
   // peaks well above its own average — the mass-actor-introduction spikes
   // of the paper's initialisation phase; (b) once the forecast pipeline is
   // saturated, the plateau stays flat while the actor count keeps growing
-  // (the scalability headline); (c) sustained real-time headroom; (d) the
-  // plateau is low ("less than a few milliseconds").
+  // (the scalability headline); (c) the plateau is low ("less than a few
+  // milliseconds"); (d) sustained real-time headroom.
   const int64_t init_cutoff = std::max<int64_t>(5000, max_actors / 20);
-  double init_peak = 0.0, init_sum = 0.0;
-  int64_t init_n = 0;
-  double q3_sum = 0.0, q4_sum = 0.0;
-  int64_t q3_n = 0, q4_n = 0;
-  for (const LatencyPoint& point : series) {
-    if (point.actor_count <= init_cutoff) {
-      init_peak = std::max(init_peak, point.avg_nanos);
-      init_sum += point.avg_nanos;
-      ++init_n;
-    }
-    if (point.actor_count > max_actors / 2 &&
-        point.actor_count <= 3 * max_actors / 4) {
-      q3_sum += point.avg_nanos;
-      ++q3_n;
-    }
-    if (point.actor_count > 3 * max_actors / 4) {
-      q4_sum += point.avg_nanos;
-      ++q4_n;
-    }
-  }
-  const double init_avg = init_n > 0 ? init_sum / init_n : 0.0;
-  const double q3_avg = q3_n > 0 ? q3_sum / q3_n : 0.0;
-  const double q4_avg = q4_n > 0 ? q4_sum / q4_n : 0.0;
-  const double plateau_ratio = q3_avg > 0.0 ? q4_avg / q3_avg : 0.0;
+  const Fig6Curve::Span init = curve.Between(-1, init_cutoff);
+  const Fig6Curve::Span q3 = curve.Between(max_actors / 2, 3 * max_actors / 4);
+  const Fig6Curve::Span q4 = curve.TopQuartile();
+  const double plateau_ratio = q3.mean > 0.0 ? q4.mean / q3.mean : 0.0;
   std::printf("\npaper shape checks:\n");
   std::printf("  init phase (<= %lld actors): avg %.1f us, peak %.1f us\n",
-              static_cast<long long>(init_cutoff), init_avg / 1000.0,
-              init_peak / 1000.0);
+              static_cast<long long>(init_cutoff), init.mean / 1000.0,
+              init.peak / 1000.0);
   std::printf("  init transient visible (peak > 3x init avg):   %s\n",
-              init_peak > 3.0 * init_avg ? "YES" : "NO");
+              init.peak > 3.0 * init.mean ? "YES" : "NO");
   std::printf("  plateau flat while actors grow (Q4/Q3 = %.2f): %s\n",
               plateau_ratio, plateau_ratio < 1.5 ? "YES" : "NO");
   std::printf("  plateau < 5 ms (paper: 'less than a few ms'):  %s "
               "(%.1f us)\n",
-              q4_avg < 5e6 ? "YES" : "NO", q4_avg / 1000.0);
+              q4.mean < 5e6 ? "YES" : "NO", q4.mean / 1000.0);
   std::printf("  replay faster than real time:                  %s "
               "(%.0fx)\n",
               wall_sec < minutes * 60.0 ? "YES" : "NO",
@@ -772,7 +815,7 @@ struct NnCaseResult {
   std::string mode;
   bool batched = false;
   bool simd = false;
-  double plateau_us = 0.0;  // saturated cost: top-quartile windowed average
+  double plateau_us = 0.0;  // saturated cost: Fig6Curve top quartile
   double mean_us = 0.0;     // stage_position mean over the whole run
   double wall_sec = 0.0;
   int64_t forecasts = 0;
@@ -805,32 +848,24 @@ NnCaseResult RunNnCase(const std::string& mode, bool batched, bool use_simd,
   bench::ReplayOptions replay;
   replay.duration_sec = minutes * 60.0;
   replay.step_sec = fleet_config.step_sec;
+  Fig6Curve curve(&pipeline);
   result.wall_sec =
       bench::ReplayFleet(
           &fleet, replay,
           [&](const AisPosition& report) { (void)pipeline.Ingest(report); },
-          [&] { pipeline.AwaitQuiescence(); })
+          [&] {
+            pipeline.AwaitQuiescence();
+            curve.Sample();
+          })
           .wall_sec;
 
   const PipelineStats stats = pipeline.Stats();
   result.forecasts = stats.forecasts_generated;
   result.mean_us = stats.mean_processing_nanos / 1000.0;
-  // Saturated cost: average the windowed series over the top quartile of
-  // the actor ramp (same Q4 the Figure-6 shape checks use).
-  const std::vector<LatencyPoint> series = pipeline.LatencySeries();
-  int64_t max_actors = 0;
-  for (const LatencyPoint& point : series) {
-    max_actors = std::max(max_actors, point.actor_count);
-  }
-  double q4_sum = 0.0;
-  int64_t q4_n = 0;
-  for (const LatencyPoint& point : series) {
-    if (point.actor_count > 3 * max_actors / 4) {
-      q4_sum += point.avg_nanos;
-      ++q4_n;
-    }
-  }
-  result.plateau_us = q4_n > 0 ? q4_sum / q4_n / 1000.0 : result.mean_us;
+  // Saturated cost: the curve's top quartile of the actor ramp (same Q4 the
+  // Figure-6 shape checks use).
+  const Fig6Curve::Span q4 = curve.TopQuartile();
+  result.plateau_us = q4.n > 0 ? q4.mean / 1000.0 : result.mean_us;
   if (batched) {
     result.avg_batch =
         registry

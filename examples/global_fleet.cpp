@@ -1,6 +1,6 @@
 // Global fleet soak: a condensed Figure-6-style run — thousands of vessels
-// arriving on the pipeline, S-VRF-equipped vessel actors, live processing
-// statistics, and the latency-vs-actors curve summarised at the end.
+// arriving on the pipeline, S-VRF-equipped vessel actors, and live
+// processing statistics (actor count, mean per-message time) every 10 min.
 //
 // Run: ./build/examples/global_fleet   (about a minute on a laptop core)
 
@@ -54,27 +54,6 @@ int main() {
   }
   pipeline.AwaitQuiescence();
 
-  // Latency-vs-actors summary (the Figure-6 measurement).
-  const std::vector<LatencyPoint> series = pipeline.LatencySeries();
-  if (!series.empty()) {
-    const int64_t max_actors = series.back().actor_count;
-    double early = 0.0, late = 0.0;
-    int64_t early_n = 0, late_n = 0;
-    for (const LatencyPoint& point : series) {
-      if (point.actor_count < max_actors / 4) {
-        early += point.avg_nanos;
-        ++early_n;
-      } else if (point.actor_count > 3 * max_actors / 4) {
-        late += point.avg_nanos;
-        ++late_n;
-      }
-    }
-    std::printf("\nlatency curve: first-quartile actors avg %.1f us, "
-                "last-quartile avg %.1f us (%lld actor samples)\n",
-                early_n ? early / early_n / 1000.0 : 0.0,
-                late_n ? late / late_n / 1000.0 : 0.0,
-                static_cast<long long>(series.size()));
-  }
   const PipelineStats stats = pipeline.Stats();
   std::printf("final: %lld messages, %lld forecasts, %lld events, %zu "
               "actors, store holds %zu keys\n",

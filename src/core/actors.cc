@@ -11,14 +11,13 @@
 namespace marlin {
 namespace {
 
-/// Routes an event to the writer and (optionally) back to the two affected
-/// vessel actors, per the state feedback loop of §3.
+/// Routes an event to the writer and back to the two affected vessel
+/// actors, per the state feedback loop of §3.
 void PublishEvent(const MaritimeEvent& event, PipelineContext* pipeline,
                   ActorContext& ctx) {
   pipeline->events_detected.fetch_add(1, std::memory_order_relaxed);
   ctx.system().Tell(pipeline->WriterFor(event.vessel_a), EventMsg{event},
                     ctx.self());
-  if (!pipeline->config->notify_vessel_actors) return;
   for (Mmsi mmsi : {event.vessel_a, event.vessel_b}) {
     if (mmsi == 0) continue;
     StatusOr<ActorRef> vessel = ctx.system().Find(VesselActorName(mmsi));
@@ -89,10 +88,9 @@ Status VesselActor::HandlePosition(const AisPosition& report,
                                    int64_t ingest_cost_nanos,
                                    ActorContext& ctx) {
   // The Figure-6 measurement: time to fully process one AIS message at the
-  // actor level (history update, forecast, event routing), read from the
-  // pipeline's latency source (host steady clock unless a virtual-time
-  // driver injected its VirtualClock).
-  Stopwatch stopwatch(pipeline_->latency_clock);
+  // actor level (history update, forecast, event routing), charged once to
+  // the position-stage histogram.
+  Stopwatch stopwatch;
   pipeline_->positions_ingested.fetch_add(1, std::memory_order_relaxed);
 
   const bool accepted = history_.Push(report);
@@ -188,19 +186,15 @@ Status VesselActor::HandlePosition(const AisPosition& report,
     // share. Bounded defensively; entries only leak if a callback is lost.
     pending_sync_nanos_.push_back(total_nanos);
     while (pending_sync_nanos_.size() > 64) pending_sync_nanos_.pop_front();
-  } else {
-    if (pipeline_->stage_position != nullptr) {
-      pipeline_->stage_position->Observe(total_nanos);
-    }
-    pipeline_->latency->Record(static_cast<int64_t>(ctx.system().ActorCount()),
-                               total_nanos);
+  } else if (pipeline_->stage_position != nullptr) {
+    pipeline_->stage_position->Observe(total_nanos);
   }
   return Status::Ok();
 }
 
 Status VesselActor::HandleForecastResult(const ForecastResultMsg& result,
                                          ActorContext& ctx) {
-  Stopwatch stopwatch(pipeline_->latency_clock);
+  Stopwatch stopwatch;
   int64_t sync_nanos = 0;
   if (!pending_sync_nanos_.empty()) {
     sync_nanos = pending_sync_nanos_.front();
@@ -232,8 +226,6 @@ Status VesselActor::HandleForecastResult(const ForecastResultMsg& result,
   if (pipeline_->stage_position != nullptr) {
     pipeline_->stage_position->Observe(total_nanos);
   }
-  pipeline_->latency->Record(static_cast<int64_t>(ctx.system().ActorCount()),
-                             total_nanos);
   return Status::Ok();
 }
 

@@ -35,14 +35,16 @@ Status MaritimePipeline::Start() {
   context_->registry = registry_;
   context_->store = &store_;
   context_->broker = &broker_;
-  context_->latency = &latency_;
-  context_->latency_clock = config_.latency_clock;
   context_->system = system_.get();
   if (config_.batched_inference) {
     InferenceBatcher::Options batcher_options;
     batcher_options.max_batch = std::max(1, config_.inference_batch_size);
     batcher_options.flush_deadline_micros = config_.inference_flush_micros;
-    batcher_options.background_flusher = config_.inference_background_flusher;
+    // A serving thread under a cooperative dispatcher would Tell results
+    // from outside the seeded schedule.
+    const Dispatcher* dispatcher = config_.actor_system.dispatcher.get();
+    batcher_options.background_flusher =
+        dispatcher == nullptr || !dispatcher->cooperative();
     batcher_options.metrics = metrics_;
     batcher_ =
         std::make_unique<InferenceBatcher>(forecaster_.get(), batcher_options);
@@ -110,7 +112,7 @@ Status MaritimePipeline::Ingest(const AisPosition& report) {
     return Status::FailedPrecondition("pipeline not running");
   }
   obs::ScopedTimer ingest_timer(context_->stage_ingest);
-  Stopwatch spawn_watch(config_.latency_clock);
+  Stopwatch spawn_watch;
   StatusOr<ActorRef> actor = system_->GetOrSpawn(
       marlin::VesselActorName(report.mmsi), [this, &report] {
         return std::make_unique<VesselActor>(report.mmsi, context_.get());
@@ -272,8 +274,7 @@ PipelineStats MaritimePipeline::Stats() const {
     stats.events_detected =
         context_->events_detected.load(std::memory_order_relaxed);
   }
-  // The position-stage histogram observes the same per-message totals the
-  // Figure-6 recorder sees, so its running mean replaces the recorder's.
+  // The position-stage histogram is charged once per vessel message.
   if (context_ != nullptr && context_->stage_position != nullptr) {
     stats.mean_processing_nanos = context_->stage_position->Mean();
   }

@@ -18,7 +18,6 @@
 #include "core/static_registry.h"
 #include "kvstore/kvstore.h"
 #include "stream/broker.h"
-#include "util/latency_recorder.h"
 #include "vrf/patterns_of_life.h"
 #include "vrf/route_forecaster.h"
 
@@ -63,35 +62,25 @@ struct PipelineConfig {
   /// trajectories like the other grid actors.
   std::vector<Port> monitored_ports;
   PortCongestionMonitor::Config port_monitor;
-  /// Forward proximity/collision events back to the affected vessel actors
-  /// (§3: actors "communicate their state back to the respective affected
-  /// subset of vessel actors").
-  bool notify_vessel_actors = true;
   /// Batched S-VRF inference (DESIGN.md §10): vessel actors submit forecast
   /// requests to a shared InferenceBatcher that coalesces them into one
   /// column-batched network forward, instead of each actor running the
   /// network inline per message. Results come back as ForecastResultMsg.
   /// Batching never changes forecast values (columns are independent).
+  /// The batcher's serving thread runs every batch in submission order off
+  /// the actor dispatchers. Under a cooperative `actor_system.dispatcher`
+  /// (chk::DeterministicScheduler) it has no serving thread: full batches
+  /// run inline on the submitting actor and partial batches only flush via
+  /// AwaitQuiescence, so nothing runs outside the seeded schedule.
   bool batched_inference = true;
   /// Requests coalesced per batched forward.
   int inference_batch_size = 32;
   /// Age of the oldest pending request at which a partial batch runs.
   int64_t inference_flush_micros = 2000;
-  /// Run the batcher's serving thread, which then runs every batch in
-  /// submission order off the actor dispatchers. Off = full batches run
-  /// inline on the submitting actor and partial batches only flush via
-  /// AwaitQuiescence (deterministic-scheduler tests).
-  bool inference_background_flusher = true;
   /// Registry all pipeline substrates (actor system, broker, store, stage
   /// histograms) report into. Null = process global. Also applied to
   /// `actor_system.metrics` when that is unset.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Nanosecond source for the per-message stopwatches feeding the
-  /// Figure-6 LatencyRecorder. Null = host steady clock (processing *cost*,
-  /// the paper's measurement). Virtual-time drivers that want stream-time
-  /// latency stats instead of host-time inject the run's VirtualClock here
-  /// (see DESIGN.md §13). Not owned; must outlive the pipeline.
-  const NanoClock* latency_clock = nullptr;
 };
 
 /// Aggregate pipeline statistics.
@@ -113,14 +102,10 @@ struct PipelineContext {
   const StaticRegistry* registry = nullptr;  // may be null
   KvStore* store = nullptr;
   Broker* broker = nullptr;
-  LatencyRecorder* latency = nullptr;
   ActorSystem* system = nullptr;
   /// Shared inference batcher; null when batched_inference is off. Vessel
   /// actors Submit here and fall back to an inline Forecast on rejection.
   InferenceBatcher* batcher = nullptr;
-  /// Source for the actors' latency stopwatches (config.latency_clock;
-  /// null = host steady clock).
-  const NanoClock* latency_clock = nullptr;
   /// Stage-latency members of marlin_pipeline_stage_nanos{stage=...},
   /// cached at Start() so actors never touch the registry on the hot path.
   obs::Histogram* stage_ingest = nullptr;
@@ -218,9 +203,6 @@ class MaritimePipeline {
   /// Aggregate statistics.
   PipelineStats Stats() const;
 
-  /// Figure-6 series: windowed mean processing time vs live actor count.
-  std::vector<LatencyPoint> LatencySeries() const { return latency_.Series(); }
-
   KvStore& store() { return store_; }
   Broker& broker() { return broker_; }
   ActorSystem& system() { return *system_; }
@@ -235,7 +217,6 @@ class MaritimePipeline {
   obs::MetricsRegistry* metrics_;  // declared before the substrates it feeds
   KvStore store_;
   Broker broker_;
-  LatencyRecorder latency_;
   std::unique_ptr<ActorSystem> system_;
   std::unique_ptr<InferenceBatcher> batcher_;
   std::unique_ptr<PipelineContext> context_;

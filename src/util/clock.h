@@ -8,7 +8,7 @@
 namespace marlin {
 
 /// Time is represented as microseconds since the Unix epoch. AIS timestamps,
-/// the simulator, the pipeline, and the latency recorder all share this unit.
+/// the simulator, the pipeline, and the broker all share this unit.
 using TimeMicros = int64_t;
 
 constexpr TimeMicros kMicrosPerSecond = 1'000'000;
@@ -51,9 +51,9 @@ class SimulatedClock : public Clock {
   std::atomic<TimeMicros> now_;
 };
 
-/// Monotonic nanosecond source — the seam that lets latency instrumentation
-/// (Stopwatch, and through it LatencyRecorder feeds) run on either host
-/// steady time or virtual stream time. Null means "host steady clock".
+/// Monotonic nanosecond source — the seam that lets a Stopwatch run on
+/// either host steady time or virtual stream time. Null means "host steady
+/// clock".
 class NanoClock {
  public:
   virtual ~NanoClock() = default;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/clock.h"
-#include "util/latency_recorder.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -270,70 +269,6 @@ TEST(ThreadPoolTest, QueueDepthDrainsToZero) {
   }
   pool.WaitIdle();
   EXPECT_EQ(pool.QueueDepth(), 0u);
-}
-
-// ------------------------------------------------------- LatencyRecorder
-
-TEST(LatencyRecorderTest, TracksCountAndMean) {
-  LatencyRecorder recorder(10);
-  recorder.Record(1, 100);
-  recorder.Record(1, 300);
-  EXPECT_EQ(recorder.Count(), 2);
-  EXPECT_DOUBLE_EQ(recorder.MeanNanos(), 200.0);
-}
-
-TEST(LatencyRecorderTest, EmitsPointPerNewActorCount) {
-  LatencyRecorder recorder(10);
-  recorder.Record(1, 100);
-  recorder.Record(1, 100);
-  recorder.Record(2, 100);
-  recorder.Record(3, 100);
-  const auto series = recorder.Series();
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series[0].actor_count, 1);
-  EXPECT_EQ(series[1].actor_count, 2);
-  EXPECT_EQ(series[2].actor_count, 3);
-}
-
-TEST(LatencyRecorderTest, MovingWindowForgetsOldSamples) {
-  LatencyRecorder recorder(2);
-  recorder.Record(1, 1000);
-  recorder.Record(2, 100);
-  recorder.Record(3, 100);
-  const auto series = recorder.Series();
-  // The third point's window holds only the last two samples.
-  EXPECT_DOUBLE_EQ(series.back().avg_nanos, 100.0);
-}
-
-// Regression: the point emitted at an actor-count boundary used to average
-// a window still full of the previous actor count's samples, so a slow
-// regime bled into the first point of the next one (skewing the Figure-6
-// curve). The window restarts at the boundary: the new point reflects only
-// the new count's samples.
-TEST(LatencyRecorderTest, WindowRestartsAtActorCountBoundary) {
-  LatencyRecorder recorder(4);
-  recorder.Record(1, 1000);
-  recorder.Record(1, 1000);
-  recorder.Record(1, 1000);
-  recorder.Record(2, 10);
-  const auto series = recorder.Series();
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series[0].avg_nanos, 1000.0);
-  // Old behaviour: (1000*3 + 10) / 4 = 752.5.
-  EXPECT_DOUBLE_EQ(series[1].avg_nanos, 10.0);
-}
-
-TEST(LatencyRecorderTest, ThreadSafeUnderConcurrentRecords) {
-  LatencyRecorder recorder(100);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&recorder, t] {
-      for (int i = 0; i < 1000; ++i) recorder.Record(t, 50);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(recorder.Count(), 8000);
-  EXPECT_DOUBLE_EQ(recorder.MeanNanos(), 50.0);
 }
 
 // ---------------------------------------------------------------- Logging

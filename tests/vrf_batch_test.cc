@@ -480,7 +480,6 @@ uint64_t RunBatchedPipelineDeterministically(
   config.actor_system.throughput = 1;
   config.batched_inference = true;
   config.inference_batch_size = 8;
-  config.inference_background_flusher = false;  // flush only in quiescence
   config.metrics = &registry;
   MaritimePipeline pipeline(std::move(forecaster), config);
   EXPECT_TRUE(pipeline.Start().ok());
@@ -497,10 +496,10 @@ uint64_t RunBatchedPipelineDeterministically(
 }
 
 TEST(BatchedPipelineChkTest, BatchedInferenceRunsUnderDeterministicScheduler) {
-  // With no background flusher and a cooperative single-threaded scheduler,
-  // the actor↔batcher drain loop in AwaitQuiescence is the only thing that
-  // flushes partial batches — forecasts must still come out, and the same
-  // seed must reproduce the identical schedule.
+  // Under a cooperative single-threaded scheduler the pipeline starts no
+  // serving thread, so the actor↔batcher drain loop in AwaitQuiescence is
+  // the only thing that flushes partial batches — forecasts must still come
+  // out, and the same seed must reproduce the identical schedule.
   auto forecaster = std::make_shared<SvrfModel>();
   int64_t forecasts1 = 0;
   int64_t forecasts2 = 0;

@@ -1,7 +1,7 @@
-// The four rules migrated from the original grep/awk tools/lint.sh. The
-// token-level reimplementations close the gaps the line regexes had (string
-// and comment false positives, declarations split across lines) while
-// keeping the same rule names, so existing `// chk-lint: allow(...)`
+// The four rules migrated from the project's original grep/awk lint
+// script. The token-level reimplementations close the gaps the line regexes
+// had (string and comment false positives, declarations split across lines)
+// while keeping the same rule names, so existing `// chk-lint: allow(...)`
 // comments keep working unchanged.
 
 #include <set>

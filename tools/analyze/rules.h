@@ -16,7 +16,7 @@ std::unique_ptr<Rule> MakeMetricNameRule();
 // The virtual-time contract (DESIGN.md §13): no wall clocks or real sleeps
 // outside the util/clock.h seam and the Config::raw_clock_files substrates.
 std::unique_ptr<Rule> MakeRawClockRule();
-// The four rules migrated from the original grep-based tools/lint.sh.
+// The four rules migrated from the original grep-based lint script.
 std::unique_ptr<Rule> MakeNoRawThreadRule();
 std::unique_ptr<Rule> MakeNoNakedNewRule();
 std::unique_ptr<Rule> MakeNoPlainCounterRule();
