@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "core/pipeline.h"
@@ -55,9 +56,16 @@ SweepRow RunOnce(const std::vector<AisPosition>& messages, int cell_resolution,
   const PipelineStats stats = pipeline.Stats();
   row.actors = stats.actor_count;
   row.mean_us = stats.mean_processing_nanos / 1000.0;
-  for (const MaritimeEvent& event : pipeline.RecentEvents(100000)) {
-    if (event.type == EventType::kProximity) ++row.proximity_events;
-    if (event.type == EventType::kCollisionForecast) ++row.collision_events;
+  // Count every event the writer persisted: RecentEvents() only keeps the
+  // writer's newest 1024, which switch-off events crowd out.
+  const KvStore& store = pipeline.store();
+  for (const std::string& key : store.ScanPrefix("event:")) {
+    const StatusOr<std::string> type = store.HGet(key, "type");
+    if (!type.ok()) continue;
+    if (*type == EventTypeName(EventType::kProximity)) ++row.proximity_events;
+    if (*type == EventTypeName(EventType::kCollisionForecast)) {
+      ++row.collision_events;
+    }
   }
   return row;
 }
@@ -74,11 +82,11 @@ int Run() {
               vessels, minutes);
 
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = vessels;
   fleet_config.seed = 4711;
-  FleetSimulator fleet(&world, fleet_config);
-  const std::vector<AisPosition> messages = fleet.Run(minutes * 60.0);
+  const std::vector<AisPosition> messages =
+      des::RunFleet(world, fleet_config, minutes * 60.0);
   std::printf("replaying %zu messages per configuration\n\n", messages.size());
 
   std::printf("| cell res (M) | coll res (K) | actors | prox events | coll "

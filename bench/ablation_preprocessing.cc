@@ -81,11 +81,10 @@ int Run() {
               20 * 5 * sizeof(double), 1000 * 3 * sizeof(double));
 
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = vessels;
   fleet_config.seed = 31337;
-  FleetSimulator fleet(&world, fleet_config);
-  const auto tracks = fleet.RunTracks(8.0 * 3600.0);
+  const auto tracks = des::RunFleetTracks(world, fleet_config, 8.0 * 3600.0);
 
   struct Row {
     const char* label;

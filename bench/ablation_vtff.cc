@@ -77,13 +77,12 @@ int Run() {
               vessels, kRasterResolution, instants);
 
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = vessels;
   fleet_config.seed = 1234;
-  FleetSimulator fleet(&world, fleet_config);
   // 1 h warmup + instants x 5 min + 30 min of future truth.
   const double duration_sec = 3600.0 + instants * 300.0 + 1800.0 + 300.0;
-  const auto tracks = fleet.RunTracks(duration_sec);
+  const auto tracks = des::RunFleetTracks(world, fleet_config, duration_sec);
   const TimeMicros t0 = fleet_config.start_time;
 
   // Train the S-VRF on an independent stream.

@@ -1,6 +1,7 @@
 #ifndef MARLIN_BENCH_BENCH_UTIL_H_
 #define MARLIN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -11,10 +12,9 @@
 
 #include "ais/preprocess.h"
 #include "ais/types.h"
-#include "sim/des/components.h"
-#include "sim/des/scheduler.h"
-#include "sim/fleet.h"
 #include "geo/world.h"
+#include "sim/des/event_fleet.h"
+#include "sim/des/scheduler.h"
 #include "util/clock.h"
 #include "util/rng.h"
 #include "vrf/svrf_model.h"
@@ -40,11 +40,10 @@ struct SvrfDataset {
 
 inline SvrfDataset BuildSvrfDataset(const World& world, int vessels,
                                     double hours, int stride, uint64_t seed) {
-  FleetConfig config;
+  des::EventFleetConfig config;
   config.num_vessels = vessels;
   config.seed = seed;
-  FleetSimulator fleet(const_cast<World*>(&world), config);
-  const auto tracks = fleet.RunTracks(hours * 3600.0);
+  const auto tracks = des::RunFleetTracks(world, config, hours * 3600.0);
   std::vector<SvrfSample> all;
   SampleBuilderOptions options;
   options.stride = stride;
@@ -102,86 +101,53 @@ inline std::shared_ptr<SvrfModel> TrainCompactSvrf(const SvrfDataset& data,
   return model;
 }
 
-/// The shared bench run loop (DESIGN.md §13). Every pipeline bench used to
-/// carry its own copy of
-///
-///   for (step) { fleet.Step(&batch); ingest each; AwaitQuiescence(); }
-///
-/// This helper is that loop, in two interchangeable drivers:
-///
-///  - wall mode (`virtual_time = false`): the literal legacy loop — the
-///    driver thread calls Step() directly;
-///  - virtual mode (`virtual_time = true`): a des::EventScheduler owns the
-///    timeline and a FleetStepper posts each step as an event. The fleet's
-///    RNG consumption is identical, so both drivers produce the exact same
-///    message stream — `fig6 --verify` asserts that — but the virtual
-///    driver composes with every other event source (chaos beats, weather
-///    sampling, skew retunes) on one deterministic, trace-hashed timeline.
-///
-/// `ingest` is called per report, `quiesce` after each step's batch (the
-/// backlog bound) and once more at the end. Templated so benches that never
+/// The one replay driver (DESIGN.md §13): a des::EventScheduler owns the
+/// timeline and a des::EventFleet built from `config` posts every vessel's
+/// transmissions on it. `ingest` receives each report in virtual-time
+/// order; the driver runs the scheduler to every `step_sec` boundary and
+/// calls `quiesce` there (the backlog bound of a faster-than-real-time
+/// replay), then once more at the end. Templated so benches that never
 /// touch the pipeline don't link it.
 struct ReplayOptions {
   double duration_sec = 0.0;
   double step_sec = 20.0;
-  bool virtual_time = false;
-  /// Scheduler seed for virtual runs (event order + trace hash).
-  uint64_t seed = 42;
 };
 
 struct ReplayResult {
-  int64_t steps = 0;
   int64_t messages = 0;
   double wall_sec = 0.0;
-  /// Virtual runs only: the scheduler's event-order FNV trace hash and
-  /// dispatch count (0 in wall mode).
+  /// The scheduler's event-order FNV trace hash and dispatch count.
   uint64_t trace_hash = 0;
   int64_t events_dispatched = 0;
 };
 
 template <typename IngestFn, typename QuiesceFn>
-ReplayResult ReplayFleet(FleetSimulator* fleet, const ReplayOptions& options,
-                         IngestFn&& ingest, QuiesceFn&& quiesce) {
+ReplayResult ReplayFleet(const World& world,
+                         const des::EventFleetConfig& config,
+                         const ReplayOptions& options, IngestFn&& ingest,
+                         QuiesceFn&& quiesce) {
   ReplayResult result;
   Stopwatch wall;
-  if (options.virtual_time) {
-    des::EventSchedulerConfig scheduler_config;
-    scheduler_config.seed = options.seed;
-    scheduler_config.start_time = fleet->now();
-    des::EventScheduler scheduler(scheduler_config);
-    const TimeMicros end =
-        fleet->now() +
-        static_cast<TimeMicros>(options.duration_sec * kMicrosPerSecond);
-    des::FleetStepper stepper(
-        fleet, options.step_sec, end, &scheduler,
-        [&](std::vector<AisPosition>* batch, TimeMicros /*now*/) {
-          for (const AisPosition& report : *batch) {
-            ingest(report);
-            ++result.messages;
-          }
-          quiesce();
-        });
-    scheduler.RunUntil(end);
-    result.steps = stepper.steps();
-    result.trace_hash = scheduler.TraceHash();
-    result.events_dispatched = scheduler.dispatched();
-  } else {
-    const int steps =
-        static_cast<int>(options.duration_sec / options.step_sec);
-    std::vector<AisPosition> batch;
-    for (int step = 0; step < steps; ++step) {
-      batch.clear();
-      fleet->Step(&batch);
-      for (const AisPosition& report : batch) {
-        ingest(report);
-        ++result.messages;
-      }
-      quiesce();
-    }
-    result.steps = steps;
+  des::EventScheduler scheduler({config.seed, config.start_time});
+  des::EventFleet fleet(&world, config, &scheduler,
+                        [&](const AisPosition& report) {
+                          ingest(report);
+                          ++result.messages;
+                        });
+  const TimeMicros step =
+      static_cast<TimeMicros>(options.step_sec * kMicrosPerSecond);
+  const TimeMicros end =
+      config.start_time +
+      static_cast<TimeMicros>(options.duration_sec * kMicrosPerSecond);
+  for (TimeMicros now = config.start_time; now < end;) {
+    now = std::min(end, now + step);
+    scheduler.RunUntil(now);
+    quiesce();
   }
   quiesce();
   result.wall_sec = wall.ElapsedMillis() / 1000.0;
+  result.trace_hash = scheduler.TraceHash();
+  result.events_dispatched = scheduler.dispatched();
   return result;
 }
 

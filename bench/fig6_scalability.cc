@@ -11,20 +11,15 @@
 // and reached 170K vessel actors, observing an initialisation-phase
 // processing-time peak (up to ~5K actors, mass actor creation) followed by
 // a stable low plateau while actors keep growing. This harness reproduces
-// the same measurement against the fleet simulator with vessels arriving
-// progressively. Scale knobs: MARLIN_F6_VESSELS (default 60000; set 170000
-// for the full-scale run), MARLIN_F6_MINUTES, MARLIN_F6_TRAIN_EPOCHS.
+// the same measurement against the synthetic fleet (des::EventFleet) with
+// vessels arriving progressively. Scale knobs: MARLIN_F6_VESSELS (default
+// 25000; set 170000 for the full-scale run), MARLIN_F6_MINUTES,
+// MARLIN_F6_TRAIN_EPOCHS.
 //
-// Virtual-time modes (DESIGN.md §13):
-//   fig6 --virtual             single-node run driven by the discrete-event
-//                              scheduler instead of the wall loop
-//   fig6 --verify              runs wall + virtual back to back and asserts
-//                              identical message/forecast/event totals
-//   fig6 --virtual --hours=72 --vessels=400000
-//                              the paper's headline regime: event-driven
-//                              fleet at message granularity through the
-//                              stream core, minutes of wall time
-// Results of the virtual modes land in BENCH_des.json.
+//   fig6 --hours=72 [--vessels=400000]
+//       the paper's headline regime (DESIGN.md §13): the event-driven fleet
+//       at message granularity through the stream core, minutes of wall
+//       time. Results land in BENCH_des.json.
 
 #include <algorithm>
 #include <atomic>
@@ -37,7 +32,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "chk/deterministic_scheduler.h"
 #include "chk/fingerprint.h"
 #include "cluster/cluster_node.h"
 #include "cluster/transport.h"
@@ -50,21 +44,6 @@
 
 namespace marlin {
 namespace {
-
-/// Totals one single-node fig6 run produces; `--verify` asserts the wall
-/// and virtual drivers agree on every field (trace_hash/wall are per-run).
-struct Fig6Counts {
-  int64_t messages = 0;
-  int64_t positions = 0;
-  int64_t forecasts = 0;
-  int64_t events = 0;
-  size_t actors = 0;
-  uint64_t trace_hash = 0;
-  /// chk schedule fingerprint when the run used deterministic dispatch
-  /// (RunSingleNode's `chk_seed`), 0 otherwise.
-  uint64_t sched_hash = 0;
-  double wall_sec = 0.0;
-};
 
 /// The Figure-6 curve. Sample() runs after each replay step's quiesce and
 /// emits one point: the live actor count and the mean of the position-stage
@@ -79,8 +58,8 @@ class Fig6Curve {
   };
 
   /// Call after `pipeline` has started. Samples count from the histogram's
-  /// reading here: a shared registry may already hold another run's
-  /// messages (`--verify` runs two pipelines on the global one).
+  /// reading here, so a registry that already holds messages (another
+  /// pipeline's, or the process-global one) does not skew the first point.
   explicit Fig6Curve(MaritimePipeline* pipeline)
       : pipeline_(pipeline),
         position_(pipeline->metrics()->GetHistogram(
@@ -137,24 +116,10 @@ class Fig6Curve {
   std::vector<Point> points_;
 };
 
-int RunSingleNode(bool virtual_time, bool print_curve,
-                  std::shared_ptr<const RouteForecaster> svrf,
-                  const World& world, int vessels, double minutes,
-                  Fig6Counts* counts, uint64_t chk_seed = 0) {
+int RunSingleNode(std::shared_ptr<const RouteForecaster> svrf,
+                  const World& world, int vessels, double minutes) {
   PipelineConfig pipeline_config;
   pipeline_config.actor_system.num_threads = 2;
-  // With a chk seed the whole pipeline runs on a cooperative
-  // chk::DeterministicScheduler instead of the 2-thread pool, making
-  // interleaving-sensitive totals (collision/proximity detections see
-  // position relays in mailbox-arrival order) a pure function of
-  // (stream, seed) — which is what lets `--verify` demand bit-exact
-  // equality instead of tolerating cross-thread jitter.
-  std::shared_ptr<chk::DeterministicScheduler> chk_sched;
-  if (chk_seed != 0) {
-    chk_sched = std::make_shared<chk::DeterministicScheduler>(chk_seed);
-    chk_sched->DisableTraceRecording();  // fingerprint only: millions of drains
-    pipeline_config.actor_system.dispatcher = chk_sched;
-  }
   MaritimePipeline pipeline(std::move(svrf), pipeline_config);
   const Status started = pipeline.Start();
   if (!started.ok()) {
@@ -162,21 +127,13 @@ int RunSingleNode(bool virtual_time, bool print_curve,
     return 1;
   }
 
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = vessels;
   fleet_config.seed = 42;
-  fleet_config.step_sec = 20.0;
   fleet_config.arrival_span_sec = minutes * 60.0 * 0.5;
-  FleetSimulator fleet(&world, fleet_config);
-
-  bench::ReplayOptions replay;
-  replay.duration_sec = minutes * 60.0;
-  replay.step_sec = fleet_config.step_sec;
-  replay.virtual_time = virtual_time;
-  replay.seed = fleet_config.seed;
   Fig6Curve curve(&pipeline);
   const bench::ReplayResult run = bench::ReplayFleet(
-      &fleet, replay,
+      world, fleet_config, {minutes * 60.0, 20.0},
       [&](const AisPosition& report) { (void)pipeline.Ingest(report); },
       // Bound mailbox backlog: the driver replays faster than real time.
       [&] {
@@ -186,26 +143,11 @@ int RunSingleNode(bool virtual_time, bool print_curve,
   const double wall_sec = run.wall_sec;
 
   const PipelineStats stats = pipeline.Stats();
-  if (counts != nullptr) {
-    counts->messages = run.messages;
-    counts->positions = stats.positions_ingested;
-    counts->forecasts = stats.forecasts_generated;
-    counts->events = stats.events_detected;
-    counts->actors = stats.actor_count;
-    counts->trace_hash = run.trace_hash;
-    counts->sched_hash = chk_sched != nullptr ? chk_sched->TraceHash() : 0;
-    counts->wall_sec = wall_sec;
-  }
-  std::printf("\nrun (%s driver): %.1f s wall for %.0f min of stream "
-              "(replay speedup %.0fx)\n",
-              virtual_time ? "virtual-time" : "wall", wall_sec, minutes,
-              minutes * 60.0 / wall_sec);
-  if (virtual_time) {
-    std::printf("virtual run: %lld events dispatched, trace hash "
-                "%016llx\n",
-                static_cast<long long>(run.events_dispatched),
-                static_cast<unsigned long long>(run.trace_hash));
-  }
+  std::printf("\nrun: %.1f s wall for %.0f min of stream (replay speedup "
+              "%.0fx), %lld events dispatched, trace hash %016llx\n",
+              wall_sec, minutes, minutes * 60.0 / wall_sec,
+              static_cast<long long>(run.events_dispatched),
+              static_cast<unsigned long long>(run.trace_hash));
   std::printf("totals: %lld AIS messages, %lld forecasts, %lld events, "
               "%zu live actors, %lld actor messages\n",
               static_cast<long long>(stats.positions_ingested),
@@ -215,7 +157,6 @@ int RunSingleNode(bool virtual_time, bool print_curve,
               static_cast<long long>(stats.messages_processed));
   std::printf("mean processing time: %.1f us/message\n",
               stats.mean_processing_nanos / 1000.0);
-  if (!print_curve) return 0;
 
   // Figure-6 curve: bucket the (actor count, step average) points.
   if (curve.empty()) {
@@ -283,7 +224,7 @@ std::shared_ptr<SvrfModel> TrainBenchModel(const World& world) {
   return svrf;
 }
 
-int Run(bool virtual_time) {
+int Run() {
   const int vessels =
       static_cast<int>(bench::EnvInt("MARLIN_F6_VESSELS", 25000));
   const double minutes =
@@ -292,21 +233,18 @@ int Run(bool virtual_time) {
   std::printf("=== Figure 6: system scalability — processing time vs live "
               "actors ===\n");
   std::printf("workload: %d vessels arriving over %.0f min, S-VRF on every "
-              "accepted message, single node%s\n",
-              vessels, minutes * 0.6,
-              virtual_time ? " (virtual-time driver)" : "");
+              "accepted message, single node\n",
+              vessels, minutes * 0.6);
 
   const World world = World::GlobalWorld(7);
   auto svrf = TrainBenchModel(world);
-  return RunSingleNode(virtual_time, /*print_curve=*/true, std::move(svrf),
-                       world, vessels, minutes, nullptr);
+  return RunSingleNode(std::move(svrf), world, vessels, minutes);
 }
 
 // ------------------------------------------------------------------------
-// Virtual-time modes (DESIGN.md §13). `--verify` proves the wall and DES
-// drivers are the same experiment; `--virtual --hours=H --vessels=V` runs
-// the paper's regime through the event-driven fleet. Both record their
-// results in BENCH_des.json.
+// The paper's regime (DESIGN.md §13): `--hours=H --vessels=V` runs the
+// event-driven fleet into a counting stream-core sink and records the
+// result in BENCH_des.json.
 
 struct RegimeResult {
   double hours = 0.0;
@@ -319,97 +257,6 @@ struct RegimeResult {
   int64_t occupied_cells = 0;
   int64_t top_cell_messages = 0;
 };
-
-struct DesBenchReport {
-  bool has_verify = false;
-  Fig6Counts wall;
-  Fig6Counts virt;
-  bool verify_ok = false;
-  int verify_vessels = 0;
-  double verify_minutes = 0.0;
-  bool has_regime = false;
-  RegimeResult regime;
-};
-
-int RunVerify(DesBenchReport* report) {
-  const int vessels =
-      static_cast<int>(bench::EnvInt("MARLIN_F6_VESSELS", 25000));
-  const double minutes =
-      static_cast<double>(bench::EnvInt("MARLIN_F6_MINUTES", 75));
-  std::printf("=== Figure 6 verify: wall driver vs virtual-time driver ===\n");
-  std::printf("workload: %d vessels over %.0f min of stream, same seed, "
-              "fresh pipeline per driver\n",
-              vessels, minutes);
-
-  const World world = World::GlobalWorld(7);
-  auto svrf = TrainBenchModel(world);
-  // One seed drives everything (DESIGN.md §13): the fleet stream, the DES
-  // event order, and — via chk::DeterministicScheduler — the actor
-  // interleaving inside both pipelines. Without the deterministic
-  // dispatcher, collision/proximity detection counts jitter by a handful
-  // of events run-to-run (mailbox arrival order across the 2-thread pool
-  // decides which position a near-threshold pair is checked against), and
-  // an exact-equality verify would flake.
-  constexpr uint64_t kChkSeed = 42;
-  Fig6Counts wall_counts, virtual_counts;
-  if (RunSingleNode(/*virtual_time=*/false, /*print_curve=*/false, svrf,
-                    world, vessels, minutes, &wall_counts, kChkSeed) != 0) {
-    return 1;
-  }
-  if (RunSingleNode(/*virtual_time=*/true, /*print_curve=*/false, svrf,
-                    world, vessels, minutes, &virtual_counts, kChkSeed) != 0) {
-    return 1;
-  }
-
-  // The virtual driver replays the exact same message stream (FleetStepper
-  // calls the unchanged FleetSimulator::Step the same number of times) with
-  // the same per-step quiesce points and the same dispatch seed, so every
-  // total — including the interleaving-sensitive detection counts — must
-  // match bit-for-bit, as must the chk schedule fingerprints themselves.
-  struct Check {
-    const char* name;
-    long long wall;
-    long long virt;
-  };
-  const Check checks[] = {
-      {"messages replayed", wall_counts.messages, virtual_counts.messages},
-      {"positions ingested", wall_counts.positions, virtual_counts.positions},
-      {"forecasts", wall_counts.forecasts, virtual_counts.forecasts},
-      {"events detected", wall_counts.events, virtual_counts.events},
-      {"live actors", static_cast<long long>(wall_counts.actors),
-       static_cast<long long>(virtual_counts.actors)},
-  };
-  bool ok = true;
-  std::printf("\n| total              | wall driver | virtual driver | match "
-              "|\n");
-  std::printf("|--------------------|-------------|----------------|-------|"
-              "\n");
-  for (const Check& check : checks) {
-    const bool match = check.wall == check.virt;
-    ok = ok && match;
-    std::printf("| %-18s | %11lld | %14lld | %s |\n", check.name, check.wall,
-                check.virt, match ? "YES  " : "NO   ");
-  }
-  const bool sched_match = wall_counts.sched_hash == virtual_counts.sched_hash;
-  ok = ok && sched_match;
-  std::printf("\nchk schedule hash: wall %016llx, virtual %016llx (%s)\n",
-              static_cast<unsigned long long>(wall_counts.sched_hash),
-              static_cast<unsigned long long>(virtual_counts.sched_hash),
-              sched_match ? "match" : "MISMATCH");
-  std::printf("verify: wall and virtual drivers %s (virtual trace hash "
-              "%016llx)\n",
-              ok ? "IDENTICAL" : "DIVERGED",
-              static_cast<unsigned long long>(virtual_counts.trace_hash));
-  if (report != nullptr) {
-    report->has_verify = true;
-    report->wall = wall_counts;
-    report->virt = virtual_counts;
-    report->verify_ok = ok;
-    report->verify_vessels = vessels;
-    report->verify_minutes = minutes;
-  }
-  return ok ? 0 : 1;
-}
 
 /// The regime run's stream-core sink: counts and fingerprints the message
 /// stream and maintains a 1°×1° occupancy raster (the Patterns-of-Life
@@ -433,7 +280,7 @@ struct RegimeSink {
   }
 };
 
-int RunRegime(double hours, int vessels, DesBenchReport* report) {
+RegimeResult RunRegime(double hours, int vessels) {
   std::printf("=== Figure 6 regime: %.0f simulated hours, %d vessels, "
               "event-driven fleet ===\n",
               hours, vessels);
@@ -442,14 +289,11 @@ int RunRegime(double hours, int vessels, DesBenchReport* report) {
   des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = vessels;
   fleet_config.seed = 42;
-  // Same front-loaded arrival ramp shape as the wall bench: vessels appear
-  // over the first half of the run.
+  // Same front-loaded arrival ramp shape as the single-node bench: vessels
+  // appear over the first half of the run.
   fleet_config.arrival_span_sec = hours * 3600.0 * 0.5;
 
-  des::EventSchedulerConfig scheduler_config;
-  scheduler_config.seed = fleet_config.seed;
-  scheduler_config.start_time = fleet_config.start_time;
-  des::EventScheduler scheduler(scheduler_config);
+  des::EventScheduler scheduler({fleet_config.seed, fleet_config.start_time});
 
   auto sink = std::make_unique<RegimeSink>();
   RegimeSink* sink_ptr = sink.get();
@@ -517,69 +361,32 @@ int RunRegime(double hours, int vessels, DesBenchReport* report) {
               static_cast<long long>(result.top_cell_messages));
   std::printf("  under 10 min wall: %s (%.1f min)\n",
               wall_sec < 600.0 ? "YES" : "NO", wall_sec / 60.0);
-  if (report != nullptr) {
-    report->has_regime = true;
-    report->regime = result;
-  }
-  return 0;
+  return result;
 }
 
-int WriteDesJson(const DesBenchReport& report) {
+int WriteDesJson(const RegimeResult& r) {
   FILE* json = std::fopen("BENCH_des.json", "w");
   if (json == nullptr) {
     std::printf("ERROR: cannot write BENCH_des.json\n");
     return 1;
   }
-  std::fprintf(json, "{");
-  const char* separator = "\n";
-  if (report.has_verify) {
-    std::fprintf(
-        json,
-        "%s  \"verify\": {\n"
-        "    \"vessels\": %d, \"minutes\": %.0f, \"identical\": %s,\n"
-        "    \"wall_driver\": {\"messages\": %lld, \"positions\": %lld, "
-        "\"forecasts\": %lld, \"events\": %lld, \"actors\": %zu, "
-        "\"wall_sec\": %.2f},\n"
-        "    \"virtual_driver\": {\"messages\": %lld, \"positions\": %lld, "
-        "\"forecasts\": %lld, \"events\": %lld, \"actors\": %zu, "
-        "\"wall_sec\": %.2f, \"trace_hash\": \"%016llx\"}\n  }",
-        separator, report.verify_vessels, report.verify_minutes,
-        report.verify_ok ? "true" : "false",
-        static_cast<long long>(report.wall.messages),
-        static_cast<long long>(report.wall.positions),
-        static_cast<long long>(report.wall.forecasts),
-        static_cast<long long>(report.wall.events), report.wall.actors,
-        report.wall.wall_sec,
-        static_cast<long long>(report.virt.messages),
-        static_cast<long long>(report.virt.positions),
-        static_cast<long long>(report.virt.forecasts),
-        static_cast<long long>(report.virt.events), report.virt.actors,
-        report.virt.wall_sec,
-        static_cast<unsigned long long>(report.virt.trace_hash));
-    separator = ",\n";
-  }
-  if (report.has_regime) {
-    const RegimeResult& r = report.regime;
-    std::fprintf(
-        json,
-        "%s  \"regime\": {\n"
-        "    \"hours\": %.0f, \"vessels\": %d, \"messages\": %lld,\n"
-        "    \"events_dispatched\": %lld, \"wall_sec\": %.2f, "
-        "\"ns_per_event\": %.0f,\n"
-        "    \"trace_hash\": \"%016llx\", \"stream_hash\": \"%016llx\",\n"
-        "    \"occupied_cells\": %lld, \"top_cell_messages\": %lld,\n"
-        "    \"under_10_min\": %s\n  }",
-        separator, r.hours, r.vessels, static_cast<long long>(r.messages),
-        static_cast<long long>(r.events_dispatched), r.wall_sec,
-        r.events_dispatched > 0 ? r.wall_sec * 1e9 / r.events_dispatched
-                                : 0.0,
-        static_cast<unsigned long long>(r.trace_hash),
-        static_cast<unsigned long long>(r.stream_hash),
-        static_cast<long long>(r.occupied_cells),
-        static_cast<long long>(r.top_cell_messages),
-        r.wall_sec < 600.0 ? "true" : "false");
-  }
-  std::fprintf(json, "\n}\n");
+  std::fprintf(
+      json,
+      "{\n  \"regime\": {\n"
+      "    \"hours\": %.0f, \"vessels\": %d, \"messages\": %lld,\n"
+      "    \"events_dispatched\": %lld, \"wall_sec\": %.2f, "
+      "\"ns_per_event\": %.0f,\n"
+      "    \"trace_hash\": \"%016llx\", \"stream_hash\": \"%016llx\",\n"
+      "    \"occupied_cells\": %lld, \"top_cell_messages\": %lld,\n"
+      "    \"under_10_min\": %s\n  }\n}\n",
+      r.hours, r.vessels, static_cast<long long>(r.messages),
+      static_cast<long long>(r.events_dispatched), r.wall_sec,
+      r.events_dispatched > 0 ? r.wall_sec * 1e9 / r.events_dispatched : 0.0,
+      static_cast<unsigned long long>(r.trace_hash),
+      static_cast<unsigned long long>(r.stream_hash),
+      static_cast<long long>(r.occupied_cells),
+      static_cast<long long>(r.top_cell_messages),
+      r.wall_sec < 600.0 ? "true" : "false");
   std::fclose(json);
   std::printf("wrote BENCH_des.json\n");
   return 0;
@@ -838,20 +645,14 @@ NnCaseResult RunNnCase(const std::string& mode, bool batched, bool use_simd,
   result.simd = use_simd;
   if (!pipeline.Start().ok()) return result;
 
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = vessels;
   fleet_config.seed = 42;
-  fleet_config.step_sec = 20.0;
   fleet_config.arrival_span_sec = minutes * 60.0 * 0.5;
-  FleetSimulator fleet(world, fleet_config);
-
-  bench::ReplayOptions replay;
-  replay.duration_sec = minutes * 60.0;
-  replay.step_sec = fleet_config.step_sec;
   Fig6Curve curve(&pipeline);
   result.wall_sec =
       bench::ReplayFleet(
-          &fleet, replay,
+          *world, fleet_config, {minutes * 60.0, 20.0},
           [&](const AisPosition& report) { (void)pipeline.Ingest(report); },
           [&] {
             pipeline.AwaitQuiescence();
@@ -963,56 +764,27 @@ int RunNnBatching() {
 }  // namespace marlin
 
 int main(int argc, char** argv) {
-  bool flag_virtual = false;
-  bool flag_verify = false;
   double hours = 0.0;
-  int vessels = 0;
+  int vessels = 400000;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--virtual") == 0) {
-      flag_virtual = true;
-    } else if (std::strcmp(arg, "--verify") == 0) {
-      flag_verify = true;
-    } else if (std::strncmp(arg, "--hours=", 8) == 0) {
+    if (std::strncmp(arg, "--hours=", 8) == 0) {
       hours = std::strtod(arg + 8, nullptr);
     } else if (std::strncmp(arg, "--vessels=", 10) == 0) {
       vessels = static_cast<int>(std::strtol(arg + 10, nullptr, 10));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--virtual] [--verify] [--hours=H] "
-                   "[--vessels=V]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--hours=H [--vessels=V]]\n", argv[0]);
       return 2;
     }
   }
 
-  if (flag_verify || flag_virtual) {
-    marlin::DesBenchReport report;
-    if (flag_verify) {
-      const int rc = marlin::RunVerify(&report);
-      if (rc != 0) {
-        (void)marlin::WriteDesJson(report);
-        return rc;
-      }
-      if (flag_virtual && hours > 0.0) std::printf("\n");
-    }
-    if (flag_virtual) {
-      if (hours > 0.0) {
-        const int rc = marlin::RunRegime(hours, vessels > 0 ? vessels : 400000,
-                                         &report);
-        if (rc != 0) return rc;
-      } else if (!flag_verify) {
-        // Plain --virtual: the standard single-node bench on the DES driver.
-        return marlin::Run(/*virtual_time=*/true);
-      }
-    }
-    return marlin::WriteDesJson(report);
+  if (hours > 0.0) {
+    return marlin::WriteDesJson(marlin::RunRegime(hours, vessels));
   }
-
   if (marlin::bench::EnvInt("MARLIN_F6_NN_ONLY", 0) != 0) {
     return marlin::RunNnBatching();
   }
-  const int single_node = marlin::Run(/*virtual_time=*/false);
+  const int single_node = marlin::Run();
   if (single_node != 0) return single_node;
   const int cluster = marlin::RunCluster();
   if (cluster != 0) return cluster;

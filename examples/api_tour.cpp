@@ -11,7 +11,7 @@
 #include "core/pipeline.h"
 #include "core/static_registry.h"
 #include "middleware/api_service.h"
-#include "sim/fleet.h"
+#include "sim/des/event_fleet.h"
 #include "vrf/linear_model.h"
 
 using namespace marlin;
@@ -29,25 +29,31 @@ void Show(ApiService* api, const std::string& route) {
 }  // namespace
 
 int main() {
-  // Static registry: the §3 initialisation-phase data fusion. In
-  // production this is loaded from the vessel database; here it is filled
-  // from the simulator's own fleet metadata.
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
-  fleet_config.num_vessels = 80;
-  fleet_config.seed = 2718;
-  FleetSimulator fleet(&world, fleet_config);
-  StaticRegistry registry;
-  for (int i = 0; i < fleet.total_vessels(); ++i) {
-    registry.Put(fleet.vessel(i)->static_info());
-  }
-  registry.Freeze();
-  std::printf("registry: %zu vessels cached in memory\n", registry.size());
-
   PipelineConfig config;
   // Monitor the five busiest world ports for berth congestion.
   for (int i = 0; i < 5; ++i) config.monitored_ports.push_back(world.ports()[i]);
   MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+
+  des::EventFleetConfig fleet_config;
+  fleet_config.num_vessels = 80;
+  fleet_config.seed = 2718;
+  des::EventScheduler scheduler({fleet_config.seed, fleet_config.start_time});
+  des::EventFleet fleet(&world, fleet_config, &scheduler,
+                        [&pipeline](const AisPosition& report) {
+                          (void)pipeline.Ingest(report);
+                        });
+
+  // Static registry: the §3 initialisation-phase data fusion. In
+  // production this is loaded from the vessel database; here it is filled
+  // from the simulator's own fleet metadata.
+  StaticRegistry registry;
+  for (int i = 0; i < fleet.num_vessels(); ++i) {
+    registry.Put(fleet.StaticInfo(i));
+  }
+  registry.Freeze();
+  std::printf("registry: %zu vessels cached in memory\n", registry.size());
+
   pipeline.SetStaticRegistry(&registry);
   if (Status status = pipeline.Start(); !status.ok()) {
     std::printf("failed to start: %s\n", status.ToString().c_str());
@@ -55,9 +61,7 @@ int main() {
   }
 
   std::printf("streaming 45 minutes of traffic...\n\n");
-  for (const AisPosition& report : fleet.Run(45.0 * 60.0)) {
-    (void)pipeline.Ingest(report);
-  }
+  scheduler.RunUntil(fleet_config.start_time + 45 * kMicrosPerMinute);
   pipeline.AwaitQuiescence();
 
   ApiService api(&pipeline);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "sim/fleet.h"
+#include "sim/des/event_fleet.h"
 #include "sim/proximity_dataset.h"
 #include "vrf/svrf_model.h"
 
@@ -27,11 +27,11 @@ int main() {
   auto svrf = std::make_shared<SvrfModel>(model_config);
   {
     const World world = World::GlobalWorld(7);
-    FleetConfig fleet_config;
+    des::EventFleetConfig fleet_config;
     fleet_config.num_vessels = 60;
     fleet_config.seed = 11;
-    FleetSimulator fleet(&world, fleet_config);
-    const auto tracks = fleet.RunTracks(6.0 * 3600.0);
+    const auto tracks =
+        des::RunFleetTracks(world, fleet_config, 6.0 * 3600.0);
     std::vector<SvrfSample> train;
     SampleBuilderOptions options;
     options.stride = 4;

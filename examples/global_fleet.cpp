@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "core/pipeline.h"
-#include "sim/fleet.h"
+#include "sim/des/event_fleet.h"
 #include "vrf/svrf_model.h"
 
 using namespace marlin;
@@ -26,33 +26,34 @@ int main() {
   }
 
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = 5000;
   fleet_config.seed = 1;
   fleet_config.arrival_span_sec = 15.0 * 60.0;
-  FleetSimulator fleet(&world, fleet_config);
+  des::EventScheduler scheduler({fleet_config.seed, fleet_config.start_time});
+  des::EventFleet fleet(&world, fleet_config, &scheduler,
+                        [&pipeline](const AisPosition& report) {
+                          (void)pipeline.Ingest(report);
+                        });
 
   std::printf("streaming 45 min of a %d-vessel global fleet...\n",
               fleet_config.num_vessels);
-  std::vector<AisPosition> batch;
-  const int steps = static_cast<int>(45.0 * 60.0 / fleet_config.step_sec);
-  for (int step = 0; step < steps; ++step) {
-    batch.clear();
-    fleet.Step(&batch);
-    for (const AisPosition& report : batch) (void)pipeline.Ingest(report);
+  // Replay in 10 s steps, quiescing after each to bound mailbox backlog.
+  constexpr TimeMicros kStep = 10 * kMicrosPerSecond;
+  for (int step = 1; step <= 270; ++step) {
+    scheduler.RunUntil(fleet_config.start_time + step * kStep);
     pipeline.AwaitQuiescence();
-    if (step % 60 == 59) {
+    if (step % 60 == 0) {
       const PipelineStats stats = pipeline.Stats();
       std::printf("  +%2d min: %7lld msgs, %6lld forecasts, %5lld events, "
                   "%6zu actors, mean %6.1f us\n",
-                  (step + 1) * 10 / 60,
+                  step / 6,
                   static_cast<long long>(stats.positions_ingested),
                   static_cast<long long>(stats.forecasts_generated),
                   static_cast<long long>(stats.events_detected),
                   stats.actor_count, stats.mean_processing_nanos / 1000.0);
     }
   }
-  pipeline.AwaitQuiescence();
 
   const PipelineStats stats = pipeline.Stats();
   std::printf("final: %lld messages, %lld forecasts, %lld events, %zu "

@@ -6,8 +6,10 @@
 // Run: ./build/examples/long_term_route
 
 #include <cstdio>
+#include <map>
+#include <vector>
 
-#include "sim/fleet.h"
+#include "sim/des/event_fleet.h"
 #include "vrf/envclus.h"
 #include "vrf/patterns_of_life.h"
 
@@ -16,18 +18,24 @@ using namespace marlin;
 int main() {
   // 1. Historical data: a simulated global fleet over a day of stream time.
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = 250;
   fleet_config.seed = 99;
-  FleetSimulator fleet(&world, fleet_config);
   std::printf("simulating 24 h of history for %d vessels...\n",
               fleet_config.num_vessels);
-  const auto tracks = fleet.RunTracks(24.0 * 3600.0);
+  std::map<Mmsi, std::vector<AisPosition>> tracks;
+  des::EventScheduler scheduler({fleet_config.seed, fleet_config.start_time});
+  des::EventFleet fleet(&world, fleet_config, &scheduler,
+                        [&tracks](const AisPosition& report) {
+                          tracks[report.mmsi].push_back(report);
+                        });
+  scheduler.RunUntil(fleet_config.start_time + 24 * 60 * kMicrosPerMinute);
 
   // Vessel-type registry (the static-data join of §3).
   std::map<Mmsi, VesselType> types;
-  for (int i = 0; i < fleet.total_vessels(); ++i) {
-    types[fleet.vessel(i)->mmsi()] = fleet.vessel(i)->static_info().type;
+  for (int i = 0; i < fleet.num_vessels(); ++i) {
+    const AisStatic info = fleet.StaticInfo(i);
+    types[info.mmsi] = info.type;
   }
 
   // 2. Build the EnvClus* transition graphs and the Patterns-of-Life
@@ -47,8 +55,8 @@ int main() {
 
   // 3. Forecast a route for the first OD pair with data, for two vessel
   //    types, and show the aggregated mobility stats along the route.
+  bool printed = false;
   for (size_t origin = 0; origin < world.ports().size(); ++origin) {
-    bool printed = false;
     for (size_t dest = 0; dest < world.ports().size(); ++dest) {
       if (origin == dest) continue;
       auto route = envclus.ForecastRoute(static_cast<int>(origin),
@@ -77,6 +85,10 @@ int main() {
       break;
     }
     if (printed) break;
+  }
+  if (!printed) {
+    std::printf("\nno route forecast yet: no OD pair's trips connect its two "
+                "port cells (a longer history fills the pathways in)\n");
   }
 
   // 4. The global hotspots — the densest patterns-of-life cells.

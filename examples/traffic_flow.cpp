@@ -10,7 +10,7 @@
 #include <memory>
 
 #include "core/pipeline.h"
-#include "sim/fleet.h"
+#include "sim/des/event_fleet.h"
 #include "vrf/linear_model.h"
 
 using namespace marlin;
@@ -25,13 +25,13 @@ int main() {
   // Stream ~90 minutes of a 300-vessel fleet so most vessels have full
   // input windows and live forecasts.
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = 300;
   fleet_config.seed = 5;
-  FleetSimulator fleet(&world, fleet_config);
   std::printf("streaming 90 minutes of a %d-vessel fleet...\n",
               fleet_config.num_vessels);
-  for (const AisPosition& report : fleet.Run(90.0 * 60.0)) {
+  for (const AisPosition& report :
+       des::RunFleet(world, fleet_config, 90.0 * 60.0)) {
     (void)pipeline.Ingest(report);
   }
   pipeline.AwaitQuiescence();

@@ -77,8 +77,8 @@ class DeterministicScheduler : public Dispatcher {
   size_t StepCount() const;
 
   /// Stops storing per-decision SchedDecision entries (each carries the
-  /// chosen task's label string). Long runs — millions of mailbox drains,
-  /// e.g. `fig6 --verify`'s full-pipeline replays — only need the
+  /// chosen task's label string). Long runs — thousands to millions of
+  /// mailbox drains, e.g. full-pipeline fleet replays — only need the
   /// fingerprint; the stored schedule is for replay debugging at test
   /// scale. Call before the first Quiesce(); already-recorded decisions
   /// are dropped.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "geo/geodesy.h"
 
@@ -11,20 +12,6 @@ namespace {
 
 /// Degrees of latitude per meter on the authalic sphere.
 constexpr double kDegLatPerMeter = kRadToDeg / kEarthRadiusMeters;
-
-/// Cruise-speed draw matching VesselSim's per-type distributions, collapsed
-/// to the type mixture's marginal: the event fleet does not carry static
-/// info, so one draw spans the mixture's [4, 24]-knot bulk.
-double SampleCruiseKnots(Rng* rng) {
-  const double u = rng->NextDouble();
-  if (u < 0.40) return rng->Uniform(10.0, 18.0);  // cargo
-  if (u < 0.62) return rng->Uniform(9.0, 15.0);   // tanker
-  if (u < 0.74) return rng->Uniform(4.0, 10.0);   // fishing
-  if (u < 0.84) return rng->Uniform(15.0, 24.0);  // passenger
-  if (u < 0.90) return rng->Uniform(5.0, 10.0);   // tug
-  if (u < 0.95) return rng->Uniform(6.0, 16.0);   // pleasure craft
-  return rng->Uniform(8.0, 16.0);                 // other
-}
 
 /// Zero-mean unit-stddev noise from two uniforms (triangular
 /// distribution). At ~10⁹ events per 72 h regime run the log/sin/cos
@@ -50,19 +37,21 @@ EventFleet::EventFleet(const World* world, const EventFleetConfig& config,
   for (int i = 0; i < config_.num_vessels; ++i) {
     VesselState& v = vessels_[static_cast<size_t>(i)];
     v.rng = master.Fork();
-    v.cruise_mps = SampleCruiseKnots(&v.rng) * kKnotsToMps;
+    v.type = SampleVesselType(&v.rng);
+    v.cruise_mps = CruiseSpeedFor(v.type, &v.rng) * kKnotsToMps;
     v.speed_mps = v.cruise_mps;
     v.lane = static_cast<uint32_t>(world_->RandomLane(&v.rng));
     const LaneSpan& span = lanes_[v.lane];
-    // Random progress point along the lane, like VesselSim's spawn.
+    // Spawn at a random progress point within the lane's first 80%.
     const double fraction = v.rng.NextDouble() * 0.8;
     v.leg = span.first_leg +
             std::min(span.num_legs - 1,
                      static_cast<uint32_t>(fraction * span.num_legs));
     v.leg_offset_m = 0.0;
 
-    // Front-loaded exponential arrivals (FleetSimulator's formula), then
-    // the first transmission one emission interval later.
+    // Front-loaded exponential arrivals (EventFleetConfig::
+    // arrival_span_sec), then the first transmission one emission interval
+    // later.
     double arrival_sec = 0.0;
     if (config_.arrival_span_sec > 0.0) {
       arrival_sec = std::min(config_.arrival_span_sec,
@@ -139,7 +128,7 @@ void EventFleet::Advance(VesselState* v, double distance_m) {
       ++v->leg;
     } else {
       // Lane end: hop to an onward lane from the destination port (any
-      // lane when the port is a sink), like VesselSim's lane transition.
+      // lane when the port is a sink).
       const size_t port = static_cast<size_t>(span.to_port);
       const uint32_t begin = port_offsets_[port];
       const uint32_t count = port_offsets_[port + 1] - begin;
@@ -159,8 +148,8 @@ void EventFleet::OnEvent(EventScheduler* scheduler, const Event& event) {
       static_cast<double>(event.at - v.last_update) / kMicrosPerSecond;
   v.last_update = event.at;
 
-  // Ornstein-Uhlenbeck speed refresh at event granularity (VesselSim's
-  // process, applied over the whole inter-transmission gap).
+  // Ornstein-Uhlenbeck speed refresh at event granularity, applied over
+  // the whole inter-transmission gap.
   const double theta = 0.02;
   const double dt_capped = std::min(dt_sec, 120.0);  // keep the pull stable
   v.speed_mps +=
@@ -208,6 +197,46 @@ void EventFleet::OnEvent(EventScheduler* scheduler, const Event& event) {
     __builtin_prefetch(&vessels_[static_cast<size_t>(next.arg)]);
   }
 #endif
+}
+
+AisStatic EventFleet::StaticInfo(int index) const {
+  const VesselState& v = vessels_[static_cast<size_t>(index)];
+  AisStatic info;
+  info.mmsi = config_.mmsi_base + static_cast<Mmsi>(index);
+  info.name = "SIM " + std::to_string(info.mmsi);
+  info.type = v.type;
+  info.destination =
+      world_->ports()[static_cast<size_t>(lanes_[v.lane].to_port)].name;
+  Rng rng(config_.seed ^ (0x9E3779B97F4A7C15ULL * info.mmsi));
+  info.length_m = rng.Uniform(40.0, 320.0);
+  info.beam_m = info.length_m * rng.Uniform(0.12, 0.18);
+  info.draught_m = rng.Uniform(3.0, 16.0);
+  info.dwt =
+      info.length_m * info.beam_m * info.draught_m * rng.Uniform(0.4, 0.8);
+  return info;
+}
+
+std::vector<AisPosition> RunFleet(const World& world,
+                                  const EventFleetConfig& config,
+                                  double seconds) {
+  std::vector<AisPosition> reports;
+  EventScheduler scheduler({config.seed, config.start_time});
+  EventFleet fleet(&world, config, &scheduler,
+                   [&reports](const AisPosition& report) {
+                     reports.push_back(report);
+                   });
+  scheduler.RunUntil(config.start_time +
+                     static_cast<TimeMicros>(seconds * kMicrosPerSecond));
+  return reports;
+}
+
+std::map<Mmsi, std::vector<AisPosition>> RunFleetTracks(
+    const World& world, const EventFleetConfig& config, double seconds) {
+  std::map<Mmsi, std::vector<AisPosition>> tracks;
+  for (const AisPosition& report : RunFleet(world, config, seconds)) {
+    tracks[report.mmsi].push_back(report);
+  }
+  return tracks;
 }
 
 }  // namespace des

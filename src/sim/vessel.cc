@@ -1,15 +1,16 @@
 #include "sim/vessel.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace marlin {
-namespace {
 
-/// Smallest signed angular difference a-b in degrees, in [-180, 180).
-double AngleDiffDeg(double a, double b) {
-  double d = std::fmod(a - b + 540.0, 360.0) - 180.0;
-  return d;
+double EmissionModel::SampleIntervalSec(Rng* rng) const {
+  const double u = rng->NextDouble();
+  if (u < p_nominal) {
+    return rng->Uniform(nominal_min_sec, nominal_max_sec);
+  }
+  if (u < p_nominal + p_degraded) {
+    return rng->Exponential(1.0 / degraded_mean_sec);
+  }
+  return rng->Exponential(1.0 / gap_mean_sec);
 }
 
 VesselType SampleVesselType(Rng* rng) {
@@ -42,115 +43,6 @@ double CruiseSpeedFor(VesselType type, Rng* rng) {
     default:
       return rng->Uniform(8.0, 16.0);
   }
-}
-
-}  // namespace
-
-double EmissionModel::SampleIntervalSec(Rng* rng) const {
-  const double u = rng->NextDouble();
-  if (u < p_nominal) {
-    return rng->Uniform(nominal_min_sec, nominal_max_sec);
-  }
-  if (u < p_nominal + p_degraded) {
-    return rng->Exponential(1.0 / degraded_mean_sec);
-  }
-  return rng->Exponential(1.0 / gap_mean_sec);
-}
-
-VesselSim::VesselSim(Mmsi mmsi, const World* world, Rng rng)
-    : mmsi_(mmsi), world_(world), rng_(rng) {
-  static_info_.mmsi = mmsi;
-  static_info_.name = "SIM " + std::to_string(mmsi);
-  static_info_.type = SampleVesselType(&rng_);
-  static_info_.length_m = rng_.Uniform(40.0, 320.0);
-  static_info_.beam_m = static_info_.length_m * rng_.Uniform(0.12, 0.18);
-  static_info_.draught_m = rng_.Uniform(3.0, 16.0);
-  static_info_.dwt = static_info_.length_m * static_info_.beam_m *
-                     static_info_.draught_m * rng_.Uniform(0.4, 0.8);
-  cruise_knots_ = CruiseSpeedFor(static_info_.type, &rng_);
-  sog_knots_ = cruise_knots_;
-  EnterLane(world_->RandomLane(&rng_), rng_.NextDouble() * 0.8);
-  next_emit_sec_ = emission_.SampleIntervalSec(&rng_);
-}
-
-void VesselSim::EnterLane(int lane_index, double progress_fraction) {
-  lane_ = lane_index;
-  const Lane& lane = world_->lanes()[static_cast<size_t>(lane_)];
-  waypoint_ =
-      std::min(lane.waypoints.size() - 1,
-               static_cast<size_t>(progress_fraction *
-                                   static_cast<double>(lane.waypoints.size())));
-  if (waypoint_ == 0) waypoint_ = 1;
-  position_ = lane.waypoints[waypoint_ - 1];
-  static_info_.destination = world_->ports()[lane.to_port].name;
-  cog_deg_ = InitialBearingDeg(position_, lane.waypoints[waypoint_]);
-}
-
-void VesselSim::SteerTowardsWaypoint(double dt_sec) {
-  const Lane& lane = world_->lanes()[static_cast<size_t>(lane_)];
-  const LatLng& target = lane.waypoints[waypoint_];
-  const double desired = InitialBearingDeg(position_, target);
-  // Bounded turn rate: larger ships turn slower.
-  const double max_turn_rate =
-      std::clamp(600.0 / static_info_.length_m, 0.5, 6.0);  // deg per second
-  const double diff = AngleDiffDeg(desired, cog_deg_);
-  const double turn =
-      std::clamp(diff, -max_turn_rate * dt_sec, max_turn_rate * dt_sec);
-  cog_deg_ = std::fmod(cog_deg_ + turn + 360.0, 360.0);
-}
-
-void VesselSim::Step(double dt_sec) {
-  // Ornstein-Uhlenbeck pull of SOG towards cruise speed with noise.
-  const double theta = 0.02;  // mean-reversion rate (1/s)
-  sog_knots_ += theta * (cruise_knots_ - sog_knots_) * dt_sec +
-                rng_.Normal(0.0, 0.15) * std::sqrt(dt_sec);
-  sog_knots_ = std::clamp(sog_knots_, 0.5, 40.0);
-
-  SteerTowardsWaypoint(dt_sec);
-  const double distance = sog_knots_ * kKnotsToMps * dt_sec;
-  position_ = DestinationPoint(position_, cog_deg_, distance);
-
-  // Waypoint reached? Advance; at lane end, pick an onward lane.
-  const Lane& lane = world_->lanes()[static_cast<size_t>(lane_)];
-  const double to_waypoint =
-      ApproxDistanceMeters(position_, lane.waypoints[waypoint_]);
-  if (to_waypoint < std::max(500.0, distance * 2.0)) {
-    ++waypoint_;
-    if (waypoint_ >= lane.waypoints.size()) {
-      const std::vector<int> onward = world_->LanesFrom(lane.to_port);
-      int next;
-      if (onward.empty()) {
-        next = world_->RandomLane(&rng_);
-      } else {
-        next = onward[rng_.UniformInt(onward.size())];
-      }
-      EnterLane(next, 0.0);
-    }
-  }
-  next_emit_sec_ -= dt_sec;
-}
-
-std::optional<AisPosition> VesselSim::MaybeEmit(TimeMicros now) {
-  if (next_emit_sec_ > 0.0) return std::nullopt;
-  next_emit_sec_ += emission_.SampleIntervalSec(&rng_);
-  if (next_emit_sec_ <= 0.0) {
-    // Interval shorter than the step: re-arm relative to now.
-    next_emit_sec_ = emission_.SampleIntervalSec(&rng_);
-  }
-  if (now < silent_until_) return std::nullopt;  // transmitter off
-  AisPosition report;
-  report.mmsi = mmsi_;
-  report.timestamp = now;
-  report.position = DestinationPoint(
-      position_, rng_.Uniform(0.0, 360.0),
-      std::abs(rng_.Normal(0.0, emission_.position_noise_m)));
-  report.sog_knots = std::max(
-      0.0, sog_knots_ + rng_.Normal(0.0, emission_.sog_noise_knots));
-  report.cog_deg = std::fmod(
-      cog_deg_ + rng_.Normal(0.0, emission_.cog_noise_deg) + 360.0, 360.0);
-  report.heading_deg = static_cast<int>(report.cog_deg);
-  report.nav_status = NavStatus::kUnderWayUsingEngine;
-  return report;
 }
 
 }  // namespace marlin

@@ -1,10 +1,7 @@
 #ifndef MARLIN_SIM_VESSEL_H_
 #define MARLIN_SIM_VESSEL_H_
 
-#include <optional>
-
 #include "ais/types.h"
-#include "geo/world.h"
 #include "util/rng.h"
 
 namespace marlin {
@@ -40,60 +37,14 @@ struct EmissionModel {
   double SampleIntervalSec(Rng* rng) const;
 };
 
-/// Kinematic simulation of one vessel following shipping lanes, with
-/// speed/course stochastics and the irregular AIS emission model.
-///
-/// The vessel follows its lane's waypoints with an Ornstein-Uhlenbeck speed
-/// process around a per-vessel cruise speed and bounded-rate course
-/// steering, yielding smooth, realistic tracks (turns at waypoints,
-/// speed oscillation, occasional slowdowns).
-class VesselSim {
- public:
-  /// Spawns a vessel on a random lane of `world` at a random progress point.
-  VesselSim(Mmsi mmsi, const World* world, Rng rng);
+/// Draws a vessel type from the simulated fleet's mix (40% cargo, 22%
+/// tanker, 12% fishing, 10% passenger, 6% tug, 5% pleasure craft, 5%
+/// other). Consumes one draw.
+VesselType SampleVesselType(Rng* rng);
 
-  /// Advances the simulation by `dt` seconds of stream time.
-  void Step(double dt_sec);
-
-  /// If an AIS transmission is due at or before `now`, returns the position
-  /// report stamped with the transmission time and resets the emission
-  /// timer.
-  std::optional<AisPosition> MaybeEmit(TimeMicros now);
-
-  /// Forces AIS silence (transmitter switch-off) until `until`.
-  /// Used by the switch-off event tests.
-  void SilenceUntil(TimeMicros until) { silent_until_ = until; }
-
-  Mmsi mmsi() const { return mmsi_; }
-  const LatLng& position() const { return position_; }
-  double sog_knots() const { return sog_knots_; }
-  double cog_deg() const { return cog_deg_; }
-  const AisStatic& static_info() const { return static_info_; }
-  int current_lane() const { return lane_; }
-
-  /// Configures the emission mixture (defaults reproduce the paper's stream
-  /// statistics).
-  void set_emission_model(const EmissionModel& model) { emission_ = model; }
-
- private:
-  void EnterLane(int lane_index, double progress_fraction);
-  void SteerTowardsWaypoint(double dt_sec);
-
-  Mmsi mmsi_;
-  const World* world_;
-  Rng rng_;
-  AisStatic static_info_;
-  EmissionModel emission_;
-
-  int lane_ = 0;
-  size_t waypoint_ = 0;
-  LatLng position_;
-  double sog_knots_ = 12.0;
-  double cruise_knots_ = 12.0;
-  double cog_deg_ = 0.0;
-  double next_emit_sec_ = 0.0;  // stream-time seconds until next emission
-  TimeMicros silent_until_ = 0;
-};
+/// Draws a cruise speed in knots from `type`'s speed band. Consumes one
+/// draw.
+double CruiseSpeedFor(VesselType type, Rng* rng);
 
 }  // namespace marlin
 

@@ -41,8 +41,8 @@
 #include "kvstore/durable_kvstore.h"
 #include "kvstore/kvstore.h"
 #include "obs/metrics.h"
+#include "sim/des/event_fleet.h"
 #include "sim/des/scheduler.h"
-#include "sim/fleet.h"
 #include "storage/log_storage.h"
 #include "stream/broker.h"
 
@@ -62,7 +62,6 @@ struct ChaosOptions {
   /// Shard count == broker partition count (shard-aligned consumption).
   int num_shards = 8;
   int num_vessels = 6;
-  double sim_step_sec = 60.0;
   double sim_duration_sec = 600.0;
   /// Ticks of active fault injection before the heal phase.
   int chaos_ticks = 40;
@@ -319,13 +318,11 @@ class ChaosCluster {
       }
     }
     std::vector<int64_t> next(shards, 0);
-    World& world = SharedWorld();
-    FleetConfig fleet_config;
+    des::EventFleetConfig fleet_config;
     fleet_config.num_vessels = options_.num_vessels;
-    fleet_config.step_sec = options_.sim_step_sec;
     fleet_config.seed = seed_;
-    FleetSimulator fleet(&world, fleet_config);
-    for (const AisPosition& position : fleet.Run(options_.sim_duration_sec)) {
+    for (const AisPosition& position : des::RunFleet(
+             SharedWorld(), fleet_config, options_.sim_duration_sec)) {
       const std::string key = std::to_string(position.mmsi);
       char value[32];
       std::snprintf(value, sizeof(value), "sog=%.1f", position.sog_knots);
@@ -758,7 +755,7 @@ class ChaosCluster {
 
   /// World construction is expensive relative to a chaos run; all runs in
   /// the process share one (it is read-only after construction).
-  static World& SharedWorld() {
+  static const World& SharedWorld() {
     static World world = World::GlobalWorld(7);
     return world;
   }

@@ -286,7 +286,7 @@ TEST(DeterministicSchedulerTest, StandaloneTaskOrderIsSeedDriven) {
 }
 
 TEST(DeterministicSchedulerTest, FingerprintOnlyModeKeepsTraceHash) {
-  // Long runs (fig6 --verify) turn off per-decision recording; the
+  // Long runs (full-pipeline replays) turn off per-decision recording; the
   // incremental fingerprint must equal the recorded run's hash bit for bit.
   chk::DeterministicScheduler recorded(11);
   chk::DeterministicScheduler bare(11);

@@ -11,9 +11,9 @@
 #include "core/actors.h"
 #include "core/pipeline.h"
 #include "geo/geodesy.h"
-#include "sim/fleet.h"
-#include "sim/proximity_dataset.h"
 #include "geo/world.h"
+#include "sim/des/event_fleet.h"
+#include "sim/proximity_dataset.h"
 #include "vrf/inference_batcher.h"
 #include "vrf/linear_model.h"
 #include "vrf/svrf_model.h"
@@ -265,11 +265,10 @@ TEST(PipelineTest, EndToEndFleetSoak) {
   // A regional fleet streamed through the full pipeline: checks that the
   // system stays consistent under realistic multi-vessel traffic.
   const World world = World::GlobalWorld();
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = 40;
   fleet_config.seed = 77;
-  FleetSimulator fleet(&world, fleet_config);
-  const auto messages = fleet.Run(2.0 * 3600.0);
+  const auto messages = des::RunFleet(world, fleet_config, 2.0 * 3600.0);
   ASSERT_GT(messages.size(), 500u);
 
   auto pipeline = MakePipeline();

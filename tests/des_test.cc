@@ -1,7 +1,8 @@
 // Tests for the discrete-event virtual-time core (sim/des, DESIGN.md §13):
-// queue ordering, clock monotonicity under concurrency, trace-hash
-// determinism across runs and pipeline worker-thread counts, wall/virtual
-// driver equivalence, and one seed driving both the event scheduler and a
+// queue ordering, clock monotonicity under concurrency, the pinned
+// EventFleet stream, trace-hash determinism across runs and pipeline
+// worker-thread counts, one chk seed reproducing the whole pipeline, and
+// one seed driving both the event scheduler and a
 // chk::DeterministicScheduler. Labelled `des` — run with `ctest -L des` or
 // the `check-des` target.
 
@@ -13,14 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include "ais/codec.h"
 #include "bench/bench_util.h"
 #include "chk/deterministic_scheduler.h"
 #include "core/pipeline.h"
-#include "sim/des/components.h"
 #include "sim/des/event_fleet.h"
 #include "sim/des/event_queue.h"
 #include "sim/des/scheduler.h"
-#include "sim/fleet.h"
 #include "util/clock.h"
 #include "vrf/linear_model.h"
 
@@ -146,6 +146,8 @@ struct FleetRun {
   int64_t emitted = 0;
   int64_t dispatched = 0;
   uint64_t stream_hash = 0;
+  /// FNV-1a over every report's AIVDM sentence, newline-terminated.
+  uint64_t sentence_hash = 0;
 };
 
 FleetRun RunEventFleet(uint64_t seed, double hours) {
@@ -153,16 +155,16 @@ FleetRun RunEventFleet(uint64_t seed, double hours) {
   fleet_config.num_vessels = 50;
   fleet_config.seed = seed;
   fleet_config.arrival_span_sec = hours * 1800.0;
-  des::EventSchedulerConfig scheduler_config;
-  scheduler_config.seed = seed;
-  scheduler_config.start_time = fleet_config.start_time;
-  des::EventScheduler scheduler(scheduler_config);
+  des::EventScheduler scheduler({seed, fleet_config.start_time});
   chk::Fingerprint stream;
+  chk::Fingerprint sentences;
   des::EventFleet fleet(&SharedWorld(), fleet_config, &scheduler,
-                        [&stream](const AisPosition& report) {
+                        [&](const AisPosition& report) {
                           stream.MixU64(static_cast<uint64_t>(report.mmsi));
                           stream.MixU64(
                               static_cast<uint64_t>(report.timestamp));
+                          sentences.MixBytes(AisCodec::EncodePosition(report));
+                          sentences.MixByte('\n');
                         });
   scheduler.RunUntil(fleet_config.start_time +
                      static_cast<TimeMicros>(hours * 3600.0) *
@@ -172,7 +174,19 @@ FleetRun RunEventFleet(uint64_t seed, double hours) {
   run.emitted = fleet.emitted();
   run.dispatched = scheduler.dispatched();
   run.stream_hash = stream.Value();
+  run.sentence_hash = sentences.Value();
   return run;
+}
+
+TEST(EventFleetTest, StreamIsPinned) {
+  // The generator's output is part of the benchmark contract (perfbench
+  // pins its stream hashes): a change to EventFleet's RNG draws, kinematics
+  // or emission model must show up here, not first as a benchmark refusing
+  // to run. Regenerate these values only for a deliberate stream change.
+  const FleetRun run = RunEventFleet(99, 1.0);
+  EXPECT_EQ(run.emitted, 2885);
+  EXPECT_EQ(run.trace_hash, 0x0005224dc9217eecULL);
+  EXPECT_EQ(run.sentence_hash, 0xfc3b8d088c4e5b62ULL);
 }
 
 TEST(EventFleetTest, SameSeedSameTraceAcrossRuns) {
@@ -181,6 +195,7 @@ TEST(EventFleetTest, SameSeedSameTraceAcrossRuns) {
   EXPECT_GT(first.emitted, 0);
   EXPECT_EQ(first.trace_hash, second.trace_hash);
   EXPECT_EQ(first.stream_hash, second.stream_hash);
+  EXPECT_EQ(first.sentence_hash, second.sentence_hash);
   EXPECT_EQ(first.emitted, second.emitted);
   EXPECT_EQ(first.dispatched, second.dispatched);
 }
@@ -192,80 +207,34 @@ TEST(EventFleetTest, DifferentSeedsDiverge) {
   EXPECT_NE(first.stream_hash, second.stream_hash);
 }
 
-TEST(FleetStepperTest, VirtualDriverReplaysWallStreamExactly) {
-  // The property `fig6 --verify` checks at scale: stepping the unchanged
-  // FleetSimulator from posted events consumes its RNG identically, so the
-  // two drivers emit byte-identical message streams.
-  const double duration_sec = 600.0;
-  const double step_sec = 20.0;
-  FleetConfig config;
-  config.num_vessels = 20;
-  config.seed = 7;
-  config.step_sec = step_sec;
-
-  std::vector<AisPosition> wall_stream;
-  {
-    FleetSimulator fleet(const_cast<World*>(&SharedWorld()), config);
-    std::vector<AisPosition> batch;
-    const int steps = static_cast<int>(duration_sec / step_sec);
-    for (int step = 0; step < steps; ++step) {
-      batch.clear();
-      fleet.Step(&batch);
-      wall_stream.insert(wall_stream.end(), batch.begin(), batch.end());
-    }
-  }
-
-  std::vector<AisPosition> virtual_stream;
-  int64_t virtual_steps = 0;
-  {
-    FleetSimulator fleet(const_cast<World*>(&SharedWorld()), config);
-    bench::ReplayOptions options;
-    options.duration_sec = duration_sec;
-    options.step_sec = step_sec;
-    options.virtual_time = true;
-    const bench::ReplayResult result = bench::ReplayFleet(
-        &fleet, options,
-        [&virtual_stream](const AisPosition& report) {
-          virtual_stream.push_back(report);
-        },
-        [] {});
-    virtual_steps = result.steps;
-  }
-
-  EXPECT_EQ(virtual_steps,
-            static_cast<int64_t>(duration_sec / step_sec));
-  ASSERT_EQ(virtual_stream.size(), wall_stream.size());
-  for (size_t i = 0; i < wall_stream.size(); ++i) {
-    ASSERT_TRUE(virtual_stream[i] == wall_stream[i]) << "diverged at " << i;
-  }
-}
-
 struct PipelineRun {
   uint64_t trace_hash = 0;
   int64_t messages = 0;
   int64_t positions = 0;
   int64_t forecasts = 0;
+  int64_t events = 0;
+  size_t actors = 0;
+  /// chk::DeterministicScheduler::TraceHash() when the run used one.
+  uint64_t sched_hash = 0;
 };
 
-PipelineRun RunVirtualPipeline(int num_threads) {
+/// Replays `vessels` of the fleet for `seconds` through a pipeline in 20 s
+/// steps. With a `dispatcher` the actor interleaving is serialised on it.
+PipelineRun RunVirtualPipeline(
+    int num_threads, int vessels, uint64_t seed, double seconds,
+    std::shared_ptr<chk::DeterministicScheduler> dispatcher = nullptr) {
   PipelineConfig pipeline_config;
   pipeline_config.actor_system.num_threads = num_threads;
+  pipeline_config.actor_system.dispatcher = dispatcher;
   MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(),
                             pipeline_config);
   PipelineRun run;
   if (!pipeline.Start().ok()) return run;
-  FleetConfig fleet_config;
-  fleet_config.num_vessels = 60;
-  fleet_config.seed = 11;
-  fleet_config.step_sec = 20.0;
-  FleetSimulator fleet(const_cast<World*>(&SharedWorld()), fleet_config);
-  bench::ReplayOptions options;
-  options.duration_sec = 300.0;
-  options.step_sec = fleet_config.step_sec;
-  options.virtual_time = true;
-  options.seed = fleet_config.seed;
+  des::EventFleetConfig fleet_config;
+  fleet_config.num_vessels = vessels;
+  fleet_config.seed = seed;
   const bench::ReplayResult result = bench::ReplayFleet(
-      &fleet, options,
+      SharedWorld(), fleet_config, {seconds, 20.0},
       [&pipeline](const AisPosition& report) {
         (void)pipeline.Ingest(report);
       },
@@ -275,6 +244,9 @@ PipelineRun RunVirtualPipeline(int num_threads) {
   run.messages = result.messages;
   run.positions = stats.positions_ingested;
   run.forecasts = stats.forecasts_generated;
+  run.events = stats.events_detected;
+  run.actors = stats.actor_count;
+  if (dispatcher != nullptr) run.sched_hash = dispatcher->TraceHash();
   return run;
 }
 
@@ -283,9 +255,9 @@ TEST(VirtualPipelineTest, TraceHashStableAcrossWorkerThreadCounts) {
   // pipeline worker threads live *behind* the ingest handler, so 1, 2, and
   // 4 workers must yield the identical trace hash and the identical
   // deterministic totals.
-  const PipelineRun one = RunVirtualPipeline(1);
-  const PipelineRun two = RunVirtualPipeline(2);
-  const PipelineRun four = RunVirtualPipeline(4);
+  const PipelineRun one = RunVirtualPipeline(1, 60, 11, 300.0);
+  const PipelineRun two = RunVirtualPipeline(2, 60, 11, 300.0);
+  const PipelineRun four = RunVirtualPipeline(4, 60, 11, 300.0);
   EXPECT_GT(one.messages, 0);
   EXPECT_EQ(one.trace_hash, two.trace_hash);
   EXPECT_EQ(one.trace_hash, four.trace_hash);
@@ -295,6 +267,29 @@ TEST(VirtualPipelineTest, TraceHashStableAcrossWorkerThreadCounts) {
   EXPECT_EQ(one.positions, four.positions);
   EXPECT_EQ(one.forecasts, two.forecasts);
   EXPECT_EQ(one.forecasts, four.forecasts);
+}
+
+PipelineRun RunChkPipeline(uint64_t seed) {
+  auto dispatcher = std::make_shared<chk::DeterministicScheduler>(seed);
+  dispatcher->DisableTraceRecording();  // fingerprint only: many drains
+  return RunVirtualPipeline(1, 400, seed, 1800.0, std::move(dispatcher));
+}
+
+TEST(VirtualPipelineTest, ChkSeedReproducesPipelineTotals) {
+  // Collision and proximity detections depend on the order in which
+  // position relays reach the cell actors, so under a thread pool their
+  // counts jitter run to run. With the actor interleaving serialised on a
+  // chk::DeterministicScheduler, one seed fixes the whole pipeline: every
+  // total, the interleaving-sensitive event count included, and the
+  // schedule fingerprint itself must reproduce exactly.
+  const PipelineRun first = RunChkPipeline(42);
+  const PipelineRun second = RunChkPipeline(42);
+  EXPECT_GT(first.events, 0);
+  EXPECT_EQ(first.positions, second.positions);
+  EXPECT_EQ(first.forecasts, second.forecasts);
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_EQ(first.actors, second.actors);
+  EXPECT_EQ(first.sched_hash, second.sched_hash);
 }
 
 /// Counter actor for the chk-integration test.

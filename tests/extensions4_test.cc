@@ -4,8 +4,8 @@
 
 #include "ais/stream_io.h"
 #include "events/collision_avoidance.h"
-#include "sim/fleet.h"
 #include "geo/world.h"
+#include "sim/des/event_fleet.h"
 
 namespace marlin {
 namespace {
@@ -137,11 +137,10 @@ TEST(CollisionAvoidanceTest, ApplyCoursePreservesTimesAndSpeed) {
 
 TEST(StreamIoTest, LogRoundTripPreservesStream) {
   const World world = World::GlobalWorld(7);
-  FleetConfig config;
+  des::EventFleetConfig config;
   config.num_vessels = 10;
   config.seed = 3;
-  FleetSimulator fleet(&world, config);
-  const auto messages = fleet.Run(1800.0);
+  const auto messages = des::RunFleet(world, config, 1800.0);
   ASSERT_GT(messages.size(), 20u);
 
   const std::string log = EncodeAivdmLog(messages);
@@ -151,7 +150,10 @@ TEST(StreamIoTest, LogRoundTripPreservesStream) {
   ASSERT_EQ(decoded.size(), messages.size());
   for (size_t i = 0; i < messages.size(); ++i) {
     EXPECT_EQ(decoded[i].mmsi, messages[i].mmsi);
-    EXPECT_EQ(decoded[i].timestamp, messages[i].timestamp);
+    // AIS carries only the UTC second; the fleet's timestamps are not
+    // whole seconds.
+    EXPECT_EQ(decoded[i].timestamp,
+              messages[i].timestamp / kMicrosPerSecond * kMicrosPerSecond);
     EXPECT_NEAR(decoded[i].position.lat_deg, messages[i].position.lat_deg,
                 2e-6);
     EXPECT_NEAR(decoded[i].position.lon_deg, messages[i].position.lon_deg,

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "ais/preprocess.h"
-#include "sim/fleet.h"
+#include "geo/world.h"
+#include "sim/des/event_fleet.h"
+#include "sim/des/scheduler.h"
 #include "sim/proximity_dataset.h"
 #include "sim/vessel.h"
-#include "geo/world.h"
+#include "sim/weather.h"
 
 namespace marlin {
 namespace {
@@ -74,115 +77,74 @@ TEST(WorldTest, DeterministicForSeed) {
   }
 }
 
-// --------------------------------------------------------------- Vessel
-
-TEST(VesselSimTest, MovesConsistentlyWithSpeed) {
-  const World world = World::GlobalWorld();
-  VesselSim vessel(237000001, &world, Rng(11));
-  const LatLng start = vessel.position();
-  double expected_m = 0.0;
-  for (int i = 0; i < 60; ++i) {
-    expected_m += vessel.sog_knots() * kKnotsToMps * 10.0;
-    vessel.Step(10.0);
-  }
-  const double travelled = HaversineMeters(start, vessel.position());
-  // Straight-line displacement is at most the path length, and with lane
-  // following it stays comparable (no teleporting, no standstill).
-  EXPECT_GT(travelled, expected_m * 0.2);
-  EXPECT_LT(travelled, expected_m * 1.2);
+TEST(WorldTest, LanesFromEmptyForUnknownPort) {
+  const World world = World::GlobalWorld(7);
+  EXPECT_TRUE(world.LanesFrom(10000).empty());
 }
 
-TEST(VesselSimTest, StaysNearLaneCorridor) {
-  const World world = World::GlobalWorld();
-  VesselSim vessel(237000002, &world, Rng(13));
-  for (int i = 0; i < 500; ++i) {
-    vessel.Step(10.0);
-    const Lane& lane = world.lanes()[vessel.current_lane()];
-    double min_d = 1e18;
-    for (const LatLng& w : lane.waypoints) {
-      min_d = std::min(min_d, ApproxDistanceMeters(vessel.position(), w));
-    }
-    // Within ~40 km of some waypoint of its current lane (waypoints are
-    // 25 km apart, plus wiggle and turning slack).
-    EXPECT_LT(min_d, 40000.0) << "step " << i;
-  }
-}
+// ------------------------------------------------------------ Emission
 
-TEST(VesselSimTest, EmitsIrregularStream) {
-  const World world = World::GlobalWorld();
-  VesselSim vessel(237000003, &world, Rng(17));
-  TimeMicros now = 0;
-  std::vector<TimeMicros> emissions;
-  for (int i = 0; i < 5000; ++i) {
-    vessel.Step(5.0);
-    now += 5 * kMicrosPerSecond;
-    if (auto report = vessel.MaybeEmit(now)) {
-      EXPECT_EQ(report->mmsi, 237000003u);
-      EXPECT_GT(report->sog_knots, 0.0);
-      emissions.push_back(report->timestamp);
-    }
+TEST(EmissionModelTest, IntervalMixtureHasExpectedMean) {
+  EmissionModel model;
+  Rng rng(5);
+  double sum = 0.0;
+  const int n = 200000;
+  double max_interval = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double interval = model.SampleIntervalSec(&rng);
+    EXPECT_GT(interval, 0.0);
+    sum += interval;
+    max_interval = std::max(max_interval, interval);
   }
-  EXPECT_GT(emissions.size(), 50u);
-  for (size_t i = 1; i < emissions.size(); ++i) {
-    EXPECT_GT(emissions[i], emissions[i - 1]);
-  }
-}
-
-TEST(VesselSimTest, SilenceSuppressesEmission) {
-  const World world = World::GlobalWorld();
-  VesselSim vessel(237000004, &world, Rng(19));
-  const TimeMicros hour = 3600 * kMicrosPerSecond;
-  vessel.SilenceUntil(hour);
-  TimeMicros now = 0;
-  int before = 0, after = 0;
-  for (int i = 0; i < 2000; ++i) {
-    vessel.Step(5.0);
-    now += 5 * kMicrosPerSecond;
-    if (vessel.MaybeEmit(now).has_value()) {
-      if (now < hour) {
-        ++before;
-      } else {
-        ++after;
-      }
-    }
-  }
-  EXPECT_EQ(before, 0);
-  EXPECT_GT(after, 5);
+  const double expected = model.p_nominal *
+                              (model.nominal_min_sec + model.nominal_max_sec) /
+                              2.0 +
+                          model.p_degraded * model.degraded_mean_sec +
+                          (1.0 - model.p_nominal - model.p_degraded) *
+                              model.gap_mean_sec;
+  EXPECT_NEAR(sum / n, expected, expected * 0.05);
+  // The heavy tail exists: some intervals are vastly above the mean.
+  EXPECT_GT(max_interval, 10.0 * expected);
 }
 
 // ---------------------------------------------------------------- Fleet
 
-TEST(FleetSimulatorTest, ProducesMessagesForAllVessels) {
+TEST(EventFleetTest, EveryVesselTransmits) {
   const World world = World::GlobalWorld();
-  FleetConfig config;
+  des::EventFleetConfig config;
   config.num_vessels = 50;
   config.seed = 23;
-  FleetSimulator fleet(&world, config);
-  const auto messages = fleet.Run(3600.0);
+  const auto messages = des::RunFleet(world, config, 3600.0);
   std::set<Mmsi> seen;
   for (const auto& m : messages) seen.insert(m.mmsi);
   EXPECT_GT(messages.size(), 500u);
   EXPECT_GE(seen.size(), 45u);  // nearly every vessel transmits in an hour
-  for (const auto& m : messages) {
+  for (size_t i = 0; i < messages.size(); ++i) {
+    const AisPosition& m = messages[i];
+    EXPECT_GE(m.mmsi, config.mmsi_base);
+    EXPECT_LT(m.mmsi, config.mmsi_base + 50);
+    EXPECT_GT(m.sog_knots, 0.0);
     EXPECT_GE(m.position.lat_deg, -90.0);
     EXPECT_LE(m.position.lat_deg, 90.0);
     EXPECT_GE(m.position.lon_deg, -180.0);
     EXPECT_LE(m.position.lon_deg, 180.0);
+    // One global stream, in virtual-time order.
+    if (i > 0) {
+      EXPECT_GE(m.timestamp, messages[i - 1].timestamp);
+    }
   }
 }
 
-TEST(FleetSimulatorTest, StreamStatisticsMatchPaperRegime) {
+TEST(EventFleetTest, StreamStatisticsMatchPaperRegime) {
   // §6.1: after 30 s downsampling, mean sampling interval 78.6 s with a
   // standard deviation of 418.3 s. Require the same regime: mean within
   // [55, 110] s and a heavy tail (stddev > 150 s, i.e. far above the mean
   // spacing — the signature of satellite gaps).
   const World world = World::GlobalWorld();
-  FleetConfig config;
+  des::EventFleetConfig config;
   config.num_vessels = 150;
   config.seed = 29;
-  FleetSimulator fleet(&world, config);
-  const auto tracks = fleet.RunTracks(6.0 * 3600.0);
-  Downsampler reference;
+  const auto tracks = des::RunFleetTracks(world, config, 6.0 * 3600.0);
   double sum = 0.0, sum_sq = 0.0;
   int64_t n = 0;
   for (const auto& [mmsi, track] : tracks) {
@@ -209,46 +171,39 @@ TEST(FleetSimulatorTest, StreamStatisticsMatchPaperRegime) {
   EXPECT_GT(stddev, 150.0) << "stddev=" << stddev;
 }
 
-TEST(FleetSimulatorTest, ArrivalSpanIntroducesVesselsGradually) {
+/// Number of vessels whose first report falls within `window_sec` of the
+/// stream start.
+int VesselsHeardWithin(const std::vector<AisPosition>& stream,
+                       TimeMicros start, double window_sec) {
+  std::set<Mmsi> heard;
+  for (const AisPosition& report : stream) {
+    if (report.timestamp - start > window_sec * kMicrosPerSecond) break;
+    heard.insert(report.mmsi);
+  }
+  return static_cast<int>(heard.size());
+}
+
+TEST(EventFleetTest, ArrivalSpanIntroducesVesselsGradually) {
   const World world = World::GlobalWorld();
-  FleetConfig config;
+  des::EventFleetConfig config;
   config.num_vessels = 100;
   config.seed = 31;
+  const auto at_once = des::RunFleet(world, config, 60.0);
   config.arrival_span_sec = 3000.0;
-  FleetSimulator fleet(&world, config);
-  std::vector<AisPosition> sink;
-  fleet.Step(&sink);
-  const int early = fleet.active_vessels();
-  for (int i = 0; i < 400; ++i) fleet.Step(&sink);
-  const int late = fleet.active_vessels();
-  EXPECT_LT(early, 30);
-  EXPECT_EQ(late, 100);
+  const auto arriving = des::RunFleet(world, config, 6000.0);
+  // Without a span nearly the whole fleet is heard within a minute; with
+  // one, only the front of the arrival ramp is, and everyone by the end.
+  EXPECT_GT(VesselsHeardWithin(at_once, config.start_time, 60.0), 80);
+  EXPECT_LT(VesselsHeardWithin(arriving, config.start_time, 60.0), 30);
+  EXPECT_GE(VesselsHeardWithin(arriving, config.start_time, 6000.0), 95);
 }
 
-TEST(FleetSimulatorTest, DeterministicForSeed) {
+TEST(EventFleetTest, TracksLongEnoughForSvrfSamples) {
   const World world = World::GlobalWorld();
-  FleetConfig config;
-  config.num_vessels = 20;
-  config.seed = 37;
-  FleetSimulator a(&world, config);
-  FleetSimulator b(&world, config);
-  const auto ma = a.Run(1800.0);
-  const auto mb = b.Run(1800.0);
-  ASSERT_EQ(ma.size(), mb.size());
-  for (size_t i = 0; i < ma.size(); ++i) {
-    EXPECT_EQ(ma[i].mmsi, mb[i].mmsi);
-    EXPECT_EQ(ma[i].timestamp, mb[i].timestamp);
-    EXPECT_DOUBLE_EQ(ma[i].position.lat_deg, mb[i].position.lat_deg);
-  }
-}
-
-TEST(FleetSimulatorTest, TracksLongEnoughForSvrfSamples) {
-  const World world = World::GlobalWorld();
-  FleetConfig config;
+  des::EventFleetConfig config;
   config.num_vessels = 30;
   config.seed = 41;
-  FleetSimulator fleet(&world, config);
-  const auto tracks = fleet.RunTracks(5.0 * 3600.0);
+  const auto tracks = des::RunFleetTracks(world, config, 5.0 * 3600.0);
   int with_samples = 0;
   SampleBuilderOptions options;
   options.stride = 3;
@@ -257,6 +212,78 @@ TEST(FleetSimulatorTest, TracksLongEnoughForSvrfSamples) {
   }
   // Most vessels yield usable supervised windows within 5 hours.
   EXPECT_GT(with_samples, 15);
+}
+
+TEST(EventFleetTest, StaticInfoIsPlausible) {
+  const World world = World::GlobalWorld(7);
+  des::EventFleetConfig config;
+  config.num_vessels = 20;
+  config.seed = 17;
+  const double seconds = 1800.0;
+  des::EventScheduler scheduler({config.seed, config.start_time});
+  std::vector<AisPosition> stream;
+  des::EventFleet fleet(&world, config, &scheduler,
+                        [&stream](const AisPosition& report) {
+                          stream.push_back(report);
+                        });
+  for (int i = 0; i < fleet.num_vessels(); ++i) {
+    const AisStatic info = fleet.StaticInfo(i);
+    EXPECT_EQ(info.mmsi, config.mmsi_base + static_cast<Mmsi>(i));
+    EXPECT_NE(info.type, VesselType::kUnknown);
+    EXPECT_GT(info.length_m, 10.0);
+    EXPECT_LT(info.length_m, 400.0);
+    EXPECT_GT(info.beam_m, 1.0);
+    EXPECT_LT(info.beam_m, info.length_m);
+    EXPECT_GT(info.draught_m, 0.0);
+    EXPECT_GT(info.dwt, 0.0);
+    EXPECT_FALSE(info.name.empty());
+    EXPECT_FALSE(info.destination.empty());
+    // Asking again gives the same record.
+    EXPECT_EQ(fleet.StaticInfo(i).length_m, info.length_m);
+  }
+  scheduler.RunUntil(config.start_time +
+                     static_cast<TimeMicros>(seconds * kMicrosPerSecond));
+  // Asking never perturbs the stream.
+  const auto untouched = des::RunFleet(world, config, seconds);
+  ASSERT_EQ(stream.size(), untouched.size());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(stream[i] == untouched[i]) << "diverged at " << i;
+  }
+}
+
+TEST(EventFleetTest, MovesConsistentlyWithReportedSpeed) {
+  // Between two transmissions a vessel sails its lane at the speed it
+  // reports at the second one (up to the SOG noise). The straight-line
+  // displacement never exceeds that path (plus GNSS noise) and, summed over
+  // the fleet, stays comparable to it: no teleporting, no standstill.
+  const World world = World::GlobalWorld();
+  des::EventFleetConfig config;
+  config.num_vessels = 40;
+  config.seed = 11;
+  const double sog_noise_knots = 0.5;
+  const double position_noise_m = 100.0;
+  const auto tracks = des::RunFleetTracks(world, config, 2.0 * 3600.0);
+  double travelled_m = 0.0;
+  double path_m = 0.0;
+  int64_t legs = 0;
+  for (const auto& [mmsi, track] : tracks) {
+    for (size_t i = 1; i < track.size(); ++i) {
+      const double dt_sec =
+          static_cast<double>(track[i].timestamp - track[i - 1].timestamp) /
+          kMicrosPerSecond;
+      const double leg_m = HaversineMeters(track[i - 1].position,
+                                           track[i].position);
+      const double max_m =
+          (track[i].sog_knots + sog_noise_knots) * kKnotsToMps * dt_sec;
+      EXPECT_LT(leg_m, max_m + position_noise_m) << mmsi << " report " << i;
+      travelled_m += leg_m;
+      path_m += track[i].sog_knots * kKnotsToMps * dt_sec;
+      ++legs;
+    }
+  }
+  ASSERT_GT(legs, 1000);
+  EXPECT_GT(travelled_m, 0.8 * path_m);
+  EXPECT_LT(travelled_m, 1.05 * path_m);
 }
 
 // -------------------------------------------------------- ProximityDataset
@@ -339,6 +366,55 @@ TEST(ProximityDatasetTest, DeterministicForSeed) {
     EXPECT_DOUBLE_EQ(a.scenarios[i].truth.cpa_distance_m,
                      b.scenarios[i].truth.cpa_distance_m);
   }
+}
+
+// -------------------------------------------------------------- Weather
+
+TEST(WeatherTest, CellEnrichmentMatchesCenterSample) {
+  const WeatherField field(11);
+  const LatLng p{44.0, -30.0};
+  const CellId cell = HexGrid::LatLngToCell(p, 6);
+  const TimeMicros t = TimeMicros{1700000000} * kMicrosPerSecond;
+  const WeatherSample at_cell = field.AtCell(cell, t);
+  const WeatherSample at_center = field.At(HexGrid::CellToLatLng(cell), t);
+  EXPECT_DOUBLE_EQ(at_cell.wind_speed_mps, at_center.wind_speed_mps);
+  EXPECT_DOUBLE_EQ(at_cell.wave_height_m, at_center.wave_height_m);
+}
+
+// ------------------------------------------------------ Encounter tracks
+
+TEST(EncounterTrackTest, YieldsTrainableSamples) {
+  Rng rng(33);
+  const BoundingBox aegean{35.0, 23.0, 40.0, 27.0};
+  const auto track = GenerateEncounterStyleTrack(900000001, aegean,
+                                                 2.5 * 3600.0, 60.0, &rng);
+  ASSERT_GT(track.size(), 60u);
+  // Timestamps strictly increase; positions stay in/near the region.
+  for (size_t i = 1; i < track.size(); ++i) {
+    EXPECT_GT(track[i].timestamp, track[i - 1].timestamp);
+  }
+  SampleBuilderOptions options;
+  const auto samples = BuildSvrfSamples(track, options);
+  EXPECT_GT(samples.size(), 10u);
+}
+
+TEST(EncounterTrackTest, CurvedTracksTurnAtTheConfiguredRate) {
+  // Generate many tracks; at least some must show sustained course change
+  // (the manoeuvre distribution the Table-2 difficulty relies on).
+  Rng rng(77);
+  const BoundingBox aegean{35.0, 23.0, 40.0, 27.0};
+  int curved = 0;
+  for (int i = 0; i < 10; ++i) {
+    const auto track = GenerateEncounterStyleTrack(
+        900000100 + static_cast<Mmsi>(i), aegean, 3600.0, 60.0, &rng);
+    if (track.size() < 10) continue;
+    const double first = track.front().cog_deg;
+    const double last = track.back().cog_deg;
+    const double change =
+        std::abs(std::fmod(last - first + 540.0, 360.0) - 180.0);
+    if (change > 20.0) ++curved;
+  }
+  EXPECT_GE(curved, 2);
 }
 
 }  // namespace

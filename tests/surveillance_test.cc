@@ -3,8 +3,8 @@
 #include <memory>
 
 #include "core/pipeline.h"
-#include "sim/fleet.h"
 #include "geo/world.h"
+#include "sim/des/event_fleet.h"
 #include "vrf/linear_model.h"
 
 namespace marlin {
@@ -83,19 +83,21 @@ TEST(SurveillanceTest, DisabledConfigSpawnsNoActor) {
 }
 
 TEST(SurveillanceTest, SimulatedTransmitterSwitchOffCaughtInFleetStream) {
-  // End-to-end with the simulator's SilenceUntil: one vessel of a small
-  // fleet switches its transmitter off mid-run.
+  // End-to-end on the simulated fleet: one vessel of a small fleet
+  // switches its transmitter off after a 40-minute baseline, i.e. its
+  // reports stop reaching the pipeline.
   const World world = World::GlobalWorld(7);
-  FleetConfig fleet_config;
+  des::EventFleetConfig fleet_config;
   fleet_config.num_vessels = 12;
   fleet_config.seed = 99;
-  FleetSimulator fleet(&world, fleet_config);
-  // Let everyone establish a baseline first.
-  std::vector<AisPosition> messages = fleet.Run(40.0 * 60.0);
-  const Mmsi dark_vessel = fleet.vessel(0)->mmsi();
-  fleet.vessel(0)->SilenceUntil(fleet.now() + 3 * 3600 * kMicrosPerSecond);
-  const auto tail = fleet.Run(2.0 * 3600.0);
-  messages.insert(messages.end(), tail.begin(), tail.end());
+  const Mmsi dark_vessel = fleet_config.mmsi_base;
+  const TimeMicros switch_off = fleet_config.start_time + 40 * kMicrosPerMinute;
+  std::vector<AisPosition> messages;
+  for (const AisPosition& report :
+       des::RunFleet(world, fleet_config, (40.0 + 120.0) * 60.0)) {
+    if (report.mmsi == dark_vessel && report.timestamp >= switch_off) continue;
+    messages.push_back(report);
+  }
 
   PipelineConfig config;
   config.actor_system.num_threads = 2;

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "ais/preprocess.h"
-#include "sim/fleet.h"
 #include "geo/world.h"
 #include "vrf/envclus.h"
 #include "vrf/linear_model.h"
