@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "util/clock.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "vrf/inference_batcher.h"
 
@@ -30,6 +31,13 @@ void PublishEvent(const MaritimeEvent& event, PipelineContext* pipeline,
 /// Time of a forecast's present position (the end of its input window).
 TimeMicros AnchorTime(const ForecastTrajectory& trajectory) {
   return trajectory.points.empty() ? 0 : trajectory.points.front().time;
+}
+
+/// `value` with `precision` decimals, as printf("%.*f") renders it.
+std::string Fixed(double value, int precision) {
+  std::string text;
+  AppendFixed(&text, value, precision);
+  return text;
 }
 
 }  // namespace
@@ -171,13 +179,14 @@ Status VesselActor::HandlePosition(const AisPosition& report,
         forecast->mmsi = mmsi_;
         latest_forecast_ = std::move(*forecast);
         has_forecast_ = true;
+        forecast_unpublished_ = true;
         pipeline_->forecasts_generated.fetch_add(1, std::memory_order_relaxed);
         PublishForecast(latest_forecast_, ctx);
       }
     }
   }
 
-  PublishState(report, ctx);
+  PublishState(/*with_position=*/true, ctx);
 
   const int64_t total_nanos = stopwatch.ElapsedNanos() + ingest_cost_nanos;
   if (submitted) {
@@ -214,9 +223,10 @@ Status VesselActor::HandleForecastResult(const ForecastResultMsg& result,
       latest_forecast_ = result.trajectory;
       latest_forecast_.mmsi = mmsi_;
       has_forecast_ = true;
+      forecast_unpublished_ = true;
       PublishForecast(latest_forecast_, ctx);
-      // Refresh the writer's view now that the forecast exists.
-      PublishState(latest_report_, ctx);
+      // The writer already holds the latest position; send the forecast.
+      PublishState(/*with_position=*/false, ctx);
     }
   }
   // Complete the Figure-6 measurement for the originating message: its
@@ -254,11 +264,13 @@ void VesselActor::PublishForecast(const ForecastTrajectory& trajectory,
   }
 }
 
-void VesselActor::PublishState(const AisPosition& report, ActorContext& ctx) {
+void VesselActor::PublishState(bool with_position, ActorContext& ctx) {
   VesselStateMsg state;
-  state.latest = report;
-  state.has_forecast = has_forecast_;
-  if (has_forecast_) state.forecast = latest_forecast_;
+  state.latest = latest_report_;
+  state.has_position = with_position;
+  state.has_forecast = forecast_unpublished_;
+  if (forecast_unpublished_) state.forecast = latest_forecast_;
+  forecast_unpublished_ = false;
   ctx.system().Tell(pipeline_->WriterFor(mmsi_), std::move(state), ctx.self());
 }
 
@@ -441,48 +453,47 @@ Status WriterActor::Receive(const std::any& message, ActorContext& ctx) {
 
 void WriterActor::WriteVesselState(const VesselStateMsg& state) {
   obs::ScopedTimer write_timer(pipeline_->stage_write);
-  const std::string key = "vessel:" + std::to_string(state.latest.mmsi);
+  const std::string mmsi = std::to_string(state.latest.mmsi);
+  const std::string key = "vessel:" + mmsi;
   KvStore* store = pipeline_->store;
-  char buf[64];
-  // Dedicated forecast output stream (§7), keyed by MMSI.
-  if (pipeline_->config->publish_output_topics && state.has_forecast) {
-    std::string record = std::to_string(state.latest.mmsi);
-    for (const ForecastPoint& point : state.forecast.points) {
-      std::snprintf(buf, sizeof(buf), ";%.6f,%.6f,%lld",
-                    point.position.lat_deg, point.position.lon_deg,
-                    static_cast<long long>(point.time));
-      record += buf;
-    }
-    (void)pipeline_->broker->Append(pipeline_->config->forecasts_topic,
-                                    std::to_string(state.latest.mmsi),
-                                    std::move(record),
-                                    state.latest.timestamp);
-  }
-  std::snprintf(buf, sizeof(buf), "%.6f", state.latest.position.lat_deg);
-  (void)store->HSet(key, "lat", buf);
-  std::snprintf(buf, sizeof(buf), "%.6f", state.latest.position.lon_deg);
-  (void)store->HSet(key, "lon", buf);
-  std::snprintf(buf, sizeof(buf), "%.1f", state.latest.sog_knots);
-  (void)store->HSet(key, "sog", buf);
-  std::snprintf(buf, sizeof(buf), "%.1f", state.latest.cog_deg);
-  (void)store->HSet(key, "cog", buf);
-  (void)store->HSet(key, "ts", std::to_string(state.latest.timestamp));
-  // Static-data fusion (§3): enrich the published state with the cached
-  // registry record.
-  if (pipeline_->registry != nullptr) {
-    if (const AisStatic* info = pipeline_->registry->Find(state.latest.mmsi)) {
-      (void)store->HSet(key, "name", info->name);
-      (void)store->HSet(key, "type",
-                        std::string(VesselTypeName(info->type)));
+  if (state.has_position) {
+    (void)store->HSet(key, "lat", Fixed(state.latest.position.lat_deg, 6));
+    (void)store->HSet(key, "lon", Fixed(state.latest.position.lon_deg, 6));
+    (void)store->HSet(key, "sog", Fixed(state.latest.sog_knots, 1));
+    (void)store->HSet(key, "cog", Fixed(state.latest.cog_deg, 1));
+    (void)store->HSet(key, "ts", std::to_string(state.latest.timestamp));
+    // Static-data fusion (§3): enrich the published state with the cached
+    // registry record.
+    if (pipeline_->registry != nullptr) {
+      if (const AisStatic* info =
+              pipeline_->registry->Find(state.latest.mmsi)) {
+        (void)store->HSet(key, "name", info->name);
+        (void)store->HSet(key, "type",
+                          std::string(VesselTypeName(info->type)));
+      }
     }
   }
   if (state.has_forecast) {
-    std::string forecast;
+    std::string forecast;  // "lat,lon,t;" per point
     for (const ForecastPoint& point : state.forecast.points) {
-      std::snprintf(buf, sizeof(buf), "%.6f,%.6f,%lld;",
-                    point.position.lat_deg, point.position.lon_deg,
-                    static_cast<long long>(point.time));
-      forecast += buf;
+      AppendFixed(&forecast, point.position.lat_deg, 6);
+      forecast += ',';
+      AppendFixed(&forecast, point.position.lon_deg, 6);
+      forecast += ',';
+      AppendInt(&forecast, point.time);
+      forecast += ';';
+    }
+    // Dedicated forecast output stream (§7), keyed by MMSI: the MMSI, then
+    // ";lat,lon,t" per point.
+    if (pipeline_->config->publish_output_topics) {
+      std::string record = mmsi;
+      if (!forecast.empty()) {
+        record += ';';
+        record.append(forecast, 0, forecast.size() - 1);
+      }
+      (void)pipeline_->broker->Append(pipeline_->config->forecasts_topic, mmsi,
+                                      std::move(record),
+                                      state.latest.timestamp);
     }
     (void)store->HSet(key, "forecast", std::move(forecast));
   }
@@ -493,29 +504,28 @@ void WriterActor::WriteEvent(const MaritimeEvent& event) {
   const std::string key = "event:" + std::to_string(shard_) + ":" +
                           std::to_string(event_seq_++);
   KvStore* store = pipeline_->store;
-  // Dedicated event output stream (§7), keyed by the primary vessel.
+  const std::string type(EventTypeName(event.type));
+  std::string location = Fixed(event.location.lat_deg, 6);
+  location += ',';
+  AppendFixed(&location, event.location.lon_deg, 6);
+  std::string distance = Fixed(event.distance_m, 1);
+  // Dedicated event output stream (§7), keyed by the primary vessel:
+  // type,vessel_a,vessel_b,time,lat,lon,distance_m.
   if (pipeline_->config->publish_output_topics) {
-    char record[192];
-    std::snprintf(record, sizeof(record), "%s,%u,%u,%lld,%.6f,%.6f,%.1f",
-                  std::string(EventTypeName(event.type)).c_str(),
-                  event.vessel_a, event.vessel_b,
-                  static_cast<long long>(event.event_time),
-                  event.location.lat_deg, event.location.lon_deg,
-                  event.distance_m);
+    std::string record = type + ',' + std::to_string(event.vessel_a) + ',' +
+                         std::to_string(event.vessel_b) + ',' +
+                         std::to_string(event.event_time) + ',' + location +
+                         ',' + distance;
     (void)pipeline_->broker->Append(pipeline_->config->events_topic,
-                                    std::to_string(event.vessel_a), record,
-                                    event.detected_at);
+                                    std::to_string(event.vessel_a),
+                                    std::move(record), event.detected_at);
   }
-  (void)store->HSet(key, "type", std::string(EventTypeName(event.type)));
+  (void)store->HSet(key, "type", type);
   (void)store->HSet(key, "vessel_a", std::to_string(event.vessel_a));
   (void)store->HSet(key, "vessel_b", std::to_string(event.vessel_b));
   (void)store->HSet(key, "time", std::to_string(event.event_time));
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f,%.6f", event.location.lat_deg,
-                event.location.lon_deg);
-  (void)store->HSet(key, "location", buf);
-  std::snprintf(buf, sizeof(buf), "%.1f", event.distance_m);
-  (void)store->HSet(key, "distance_m", buf);
+  (void)store->HSet(key, "location", std::move(location));
+  (void)store->HSet(key, "distance_m", std::move(distance));
 }
 
 }  // namespace marlin

@@ -45,13 +45,18 @@ class VesselActor : public Actor {
                               ActorContext& ctx);
   /// Forecast fan-out shared by the inline and batched paths.
   void PublishForecast(const ForecastTrajectory& trajectory, ActorContext& ctx);
-  /// Writer-state publish shared by both paths.
-  void PublishState(const AisPosition& report, ActorContext& ctx);
+  /// Sends the writer a VesselStateMsg for `latest_report_`. It carries the
+  /// position when `with_position`, and the forecast while it is
+  /// unpublished.
+  void PublishState(bool with_position, ActorContext& ctx);
 
   Mmsi mmsi_;
   PipelineContext* pipeline_;
   VesselHistory history_;
   bool has_forecast_ = false;
+  /// Set whenever `latest_forecast_` changes, cleared once a state has
+  /// carried it to the writer.
+  bool forecast_unpublished_ = false;
   ForecastTrajectory latest_forecast_;
   AisPosition latest_report_;
   std::deque<MaritimeEvent> my_events_;  // events affecting this vessel
@@ -147,7 +152,10 @@ class PortsActor : public Actor {
 
 /// Writer actor (§3): the single sink publishing actor states and events
 /// into the KvStore for the middleware/UI, and answering recent-event
-/// queries.
+/// queries. A `vessel:<mmsi>` hash holds `lat`/`lon` (6 decimals),
+/// `sog`/`cog` (1 decimal) and `ts` from the latest position state, the
+/// registry's `name`/`type`, and `forecast` ("lat,lon,t;" per point) from
+/// the latest forecast.
 class WriterActor : public Actor {
  public:
   /// `shard` distinguishes this writer's event keys when several writer

@@ -29,7 +29,7 @@ struct CellObservationMsg {
 };
 
 /// Forecast trajectory forwarded to collision actors, the traffic-flow
-/// actor, and the writer.
+/// actor, and the ports actor.
 struct TrajectoryMsg {
   ForecastTrajectory trajectory;
 };
@@ -52,9 +52,18 @@ struct ForecastResultMsg {
   int64_t forecast_nanos = 0;
 };
 
-/// Vessel state published by vessel actors to the writer.
+/// Vessel state published by a vessel actor to its writer: one per
+/// position report, plus one when a batched forecast lands. Each state
+/// carries only what changed since the vessel's previous one.
 struct VesselStateMsg {
+  /// The vessel's latest report. Its MMSI and timestamp key every state.
   AisPosition latest;
+  /// True for the state sent on a position report: the writer publishes
+  /// `latest`'s position, speed, course and time. False when only the
+  /// forecast changed.
+  bool has_position = true;
+  /// True when `forecast` is new: each forecast rides along exactly once,
+  /// in the first state after it replaced the vessel's previous one.
   bool has_forecast = false;
   ForecastTrajectory forecast;
 };

@@ -45,8 +45,9 @@ struct PipelineConfig {
   int topic_partitions = 8;
   std::string consumer_group = "marlin-pipeline";
   /// Output streams (§7 future work, implemented): when enabled, the writer
-  /// actor also publishes every event and every vessel forecast to
-  /// dedicated broker topics that external consumers can subscribe to.
+  /// actor also publishes every event and every vessel forecast, one record
+  /// each, to dedicated broker topics that external consumers can
+  /// subscribe to.
   bool publish_output_topics = false;
   std::string events_topic = "marlin-events";
   std::string forecasts_topic = "marlin-forecasts";

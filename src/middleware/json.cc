@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/format.h"
 #include "util/logging.h"
 
 namespace marlin {
@@ -105,29 +106,21 @@ void JsonValue::DumpTo(std::string* out) const {
     case Kind::kBool:
       *out += bool_value_ ? "true" : "false";
       return;
-    case Kind::kInt: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(int_value_));
-      *out += buf;
+    case Kind::kInt:
+      AppendInt(out, int_value_);
       return;
-    }
-    case Kind::kNumber: {
+    case Kind::kNumber:
       if (!std::isfinite(number_value_)) {
         *out += "null";
         return;
       }
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.6f", number_value_);
-      // Trim trailing zeros but keep at least one decimal digit.
-      std::string text(buf);
-      while (text.size() > 1 && text.back() == '0' &&
-             text[text.size() - 2] != '.') {
-        text.pop_back();
+      AppendFixed(out, number_value_, 6);
+      // Trim trailing zeros but keep at least one decimal digit (a finite
+      // value's fixed rendering always has a point).
+      while (out->back() == '0' && (*out)[out->size() - 2] != '.') {
+        out->pop_back();
       }
-      *out += text;
       return;
-    }
     case Kind::kString:
       EscapeTo(string_value_, out);
       return;

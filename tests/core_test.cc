@@ -2,12 +2,16 @@
 
 #include <any>
 #include <chrono>
+#include <cstdio>
+#include <future>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ais/codec.h"
 #include "ais/preprocess.h"
+#include "chk/deterministic_scheduler.h"
 #include "core/actors.h"
 #include "core/pipeline.h"
 #include "geo/geodesy.h"
@@ -223,6 +227,86 @@ TEST(PipelineTest, WriterPublishesVesselStateToStore) {
   EXPECT_NEAR(std::stod(state.at("lat")), 37.5, 1e-5);
 }
 
+/// printf's rendering of the writer's kv fields: the references the
+/// writer's own renderer must match byte for byte.
+std::string Printf(const char* format, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
+}
+
+std::string PrintfForecast(const ForecastTrajectory& forecast) {
+  std::string text;
+  char buf[96];
+  for (const ForecastPoint& point : forecast.points) {
+    std::snprintf(buf, sizeof(buf), "%.6f,%.6f,%lld;", point.position.lat_deg,
+                  point.position.lon_deg, static_cast<long long>(point.time));
+    text += buf;
+  }
+  return text;
+}
+
+TEST(PipelineTest, WriterKvMatchesPrintfOfLastReportAndLatestForecast) {
+  // Every vessel hash must hold its last ingested report and its latest
+  // forecast, rendered as printf renders them. A writer that dropped a
+  // forecast sent once, or drifted from printf, fails here.
+  auto dispatcher = std::make_shared<chk::DeterministicScheduler>(7);
+  dispatcher->DisableTraceRecording();
+  PipelineConfig config;
+  config.actor_system.num_threads = 1;
+  config.actor_system.dispatcher = dispatcher;
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+  ASSERT_TRUE(pipeline.Start().ok());
+  des::EventFleetConfig fleet;
+  fleet.num_vessels = 100;
+  fleet.seed = 7;
+  std::map<Mmsi, AisPosition> last;
+  int ingested = 0;
+  for (const AisPosition& report :
+       des::RunFleet(World::GlobalWorld(7), fleet, 1800.0)) {
+    ASSERT_TRUE(pipeline.Ingest(report).ok());
+    last[report.mmsi] = report;
+    if (++ingested % 500 == 0) pipeline.AwaitQuiescence();
+  }
+  pipeline.AwaitQuiescence();
+
+  // Under the cooperative scheduler a reply only resolves inside a
+  // quiesce, so ask every vessel first and read the replies afterwards.
+  std::map<Mmsi, std::future<std::any>> replies;
+  for (const auto& [mmsi, report] : last) {
+    auto vessel = pipeline.system().Find(VesselActorName(mmsi));
+    ASSERT_TRUE(vessel.ok());
+    replies[mmsi] = pipeline.system().Ask(*vessel, GetForecastQuery{});
+  }
+  pipeline.AwaitQuiescence();
+
+  int with_forecast = 0;
+  for (const auto& [mmsi, report] : last) {
+    SCOPED_TRACE("vessel " + std::to_string(mmsi));
+    const auto hash =
+        pipeline.store().HGetAll("vessel:" + std::to_string(mmsi));
+    ASSERT_EQ(hash.count("ts"), 1u);
+    EXPECT_EQ(hash.at("lat"), Printf("%.6f", report.position.lat_deg));
+    EXPECT_EQ(hash.at("lon"), Printf("%.6f", report.position.lon_deg));
+    EXPECT_EQ(hash.at("sog"), Printf("%.1f", report.sog_knots));
+    EXPECT_EQ(hash.at("cog"), Printf("%.1f", report.cog_deg));
+    EXPECT_EQ(hash.at("ts"),
+              std::to_string(static_cast<long long>(report.timestamp)));
+    const std::any reply = replies[mmsi].get();
+    if (const auto* held = std::any_cast<TrajectoryMsg>(&reply)) {
+      ++with_forecast;
+      ASSERT_EQ(hash.count("forecast"), 1u);
+      EXPECT_EQ(hash.at("forecast"), PrintfForecast(held->trajectory));
+      EXPECT_EQ(hash.size(), 6u);
+    } else {
+      EXPECT_EQ(hash.size(), 5u);
+    }
+  }
+  EXPECT_EQ(pipeline.store().ScanPrefix("vessel:").size(), last.size());
+  EXPECT_GT(with_forecast, 50);
+  pipeline.Stop();
+}
+
 TEST(PipelineTest, BrokerPathIngestsAivdmSentences) {
   auto pipeline = MakePipeline();
   const TimeMicros t0 = TimeMicros{1700000000} * kMicrosPerSecond;
@@ -425,6 +509,11 @@ TEST(VesselActorTest, OlderBatchedResultDoesNotReplaceNewerInlineForecast) {
     EXPECT_EQ(held->trajectory.points[i].position.lon_deg,
               expected->points[i].position.lon_deg);
   }
+  // The writer holds the newest forecast too, although the stale result
+  // landed after it.
+  const auto stored = store.HGet("vessel:" + std::to_string(kMmsi), "forecast");
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(*stored, PrintfForecast(*expected));
   system.Shutdown();
 }
 

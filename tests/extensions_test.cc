@@ -162,13 +162,16 @@ TEST(OutputTopicsTest, EventsAndForecastsPublished) {
   config.publish_output_topics = true;
   MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
   ASSERT_TRUE(pipeline.Start().ok());
-  // Full window -> forecasts; close pair -> proximity event.
+  // Full window -> forecasts; close pair -> proximity event. Each position
+  // is fully processed before the next, so the later ones find a forecast
+  // already held.
   LatLng position{38.0, 24.0};
   for (int i = 0; i < kSvrfInputLength + 3; ++i) {
     ASSERT_TRUE(pipeline
                     .Ingest(At(700, static_cast<TimeMicros>(i) * kMicrosPerMinute,
                                position))
                     .ok());
+    pipeline.AwaitQuiescence();
     position = DestinationPoint(position, 90.0, 12.0 * kKnotsToMps * 60.0);
   }
   ASSERT_TRUE(
@@ -190,6 +193,12 @@ TEST(OutputTopicsTest, EventsAndForecastsPublished) {
   size_t separators = 0;
   for (char c : forecasts[0].value) separators += c == ';';
   EXPECT_EQ(separators, static_cast<size_t>(kSvrfOutputSteps + 1));
+  // One record per forecast: a held forecast is not republished with
+  // every later position. Only vessel 700 has a full window.
+  int64_t vessel_records = 0;
+  for (const Record& record : forecasts) vessel_records += record.key == "700";
+  EXPECT_EQ(vessel_records, pipeline.Stats().forecasts_generated);
+  EXPECT_GT(vessel_records, 0);
 
   Consumer event_consumer(&pipeline.broker(), "test", "marlin-events");
   const auto events = event_consumer.Poll(1000);

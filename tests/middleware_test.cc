@@ -25,6 +25,11 @@ TEST(JsonTest, NumberFormatting) {
   EXPECT_EQ(JsonValue::Number(37.123456).Dump(), "37.123456");
   EXPECT_EQ(JsonValue::Number(2.0).Dump(), "2.0");
   EXPECT_EQ(JsonValue::Number(std::nan("")).Dump(), "null");
+  // Every integer digit survives, however large the magnitude.
+  EXPECT_EQ(JsonValue::Number(1e40).Dump(),
+            "10000000000000000303786028427003666890752.0");
+  EXPECT_EQ(JsonValue::Number(-1e40).Dump(),
+            "-10000000000000000303786028427003666890752.0");
 }
 
 TEST(JsonTest, StringEscaping) {

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/clock.h"
+#include "util/format.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -279,6 +285,83 @@ TEST(LoggingTest, LevelsFilter) {
   EXPECT_TRUE(Logger::Instance().Enabled(LogLevel::kError));
   Logger::Instance().set_min_level(LogLevel::kInfo);
   EXPECT_TRUE(Logger::Instance().Enabled(LogLevel::kInfo));
+}
+
+// ---------------------------------------------------------------- Format
+
+/// The reference AppendFixed must reproduce byte for byte.
+std::string PrintfFixed(double value, int precision) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  return buf;
+}
+
+/// AppendFixed's rendering alone; the prefix checks that it appends.
+std::string Fixed(double value, int precision) {
+  std::string out = "prefix:";
+  AppendFixed(&out, value, precision);
+  return out.substr(7);
+}
+
+TEST(FormatTest, AppendFixedMatchesPrintfOnEdgeCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double value :
+       {0.0, -0.0, 5e-7, -5e-7, 0.05, 0.25, 2.5, 179.9999995, -179.9999995,
+        1e308, -1e308, DBL_MAX, -DBL_MAX, DBL_TRUE_MIN, 1e-300, inf, -inf,
+        nan, -nan}) {
+    for (int precision : {0, 1, 6, kMaxFixedPrecision}) {
+      EXPECT_EQ(Fixed(value, precision), PrintfFixed(value, precision))
+          << "value " << value << " precision " << precision;
+    }
+  }
+}
+
+TEST(FormatTest, AppendFixedMatchesPrintfOnSeededCorpus) {
+  // A million doubles in ±1e7: uniform draws, the nearest doubles to
+  // 6-decimal and 1-decimal rounding ties, and exact binary ties (k/128,
+  // which has seven decimals, and .25/.75).
+  Rng rng(20261017);
+  int mismatches = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = rng.Uniform(-1e7, 1e7);
+    double value = x;
+    switch (i % 4) {
+      case 1:
+        value = std::round(x * 1e6) / 1e6 + 5e-7;
+        break;
+      case 2:
+        value = std::round(x * 10.0) / 10.0 + 0.05;
+        break;
+      case 3:
+        value = std::floor(x) +
+                static_cast<double>(rng.NextUint64() % 128) / 128.0;
+        break;
+    }
+    for (int precision : {1, 6}) {
+      const std::string expected = PrintfFixed(value, precision);
+      const std::string actual = Fixed(value, precision);
+      if (actual != expected && ++mismatches <= 5) {
+        char repr[32];
+        std::snprintf(repr, sizeof(repr), "%.17g", value);
+        ADD_FAILURE() << repr << " at precision " << precision << ": printf "
+                      << expected << ", AppendFixed " << actual;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(FormatTest, AppendIntMatchesPrintf) {
+  for (int64_t value : {int64_t{0}, int64_t{-1}, int64_t{237000042},
+                        std::numeric_limits<int64_t>::max(),
+                        std::numeric_limits<int64_t>::min()}) {
+    std::string out;
+    AppendInt(&out, value);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
+    EXPECT_EQ(out, buf);
+  }
 }
 
 }  // namespace
