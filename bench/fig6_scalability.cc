@@ -396,7 +396,7 @@ int WriteDesJson(const RegimeResult& r) {
 // Multi-node variant: the same vessel-actor workload spread over 1/2/4
 // in-process cluster members via ShardRegion routing. Reports per-node
 // delivery throughput and the latency of envelopes that crossed a node
-// boundary, and emits BENCH_cluster.json for the plotting scripts.
+// boundary.
 // Scale knob: MARLIN_F6C_VESSELS_PER_NODE (default 10000).
 
 int64_t SteadyNanos() {
@@ -455,7 +455,6 @@ struct ClusterCaseResult {
   int64_t entities = 0;
   int64_t total_delivered = 0;
   double wall_sec = 0.0;
-  std::vector<int64_t> per_node_delivered;
   int64_t remote_count = 0;
   double remote_avg_us = 0.0;
   double remote_max_us = 0.0;
@@ -531,7 +530,6 @@ ClusterCaseResult RunClusterCase(int num_nodes, int vessels_per_node) {
   int64_t remote_max_ns = 0;
   for (auto& n : nodes) {
     const int64_t delivered = n->stats.delivered.load();
-    result.per_node_delivered.push_back(delivered);
     result.total_delivered += delivered;
     result.remote_count += n->stats.remote.load();
     remote_sum_ns += n->stats.remote_latency_sum_ns.load();
@@ -557,7 +555,6 @@ int RunCluster() {
   std::printf("|-------|----------|-----------|----------|----------------|-"
               "-----------------|-----------------|-----------------|\n");
 
-  std::vector<ClusterCaseResult> results;
   for (const int num_nodes : {1, 2, 4}) {
     const ClusterCaseResult r = RunClusterCase(num_nodes, vessels_per_node);
     if (r.num_nodes == 0) {
@@ -575,38 +572,7 @@ int RunCluster() {
                 static_cast<long long>(r.total_delivered), r.wall_sec,
                 per_node_rate, static_cast<long long>(r.remote_count),
                 r.remote_avg_us, r.remote_max_us);
-    results.push_back(r);
   }
-
-  FILE* json = std::fopen("BENCH_cluster.json", "w");
-  if (json == nullptr) {
-    std::printf("ERROR: cannot write BENCH_cluster.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"vessels_per_node\": %d,\n  \"cases\": [\n",
-               vessels_per_node);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ClusterCaseResult& r = results[i];
-    std::fprintf(json,
-                 "    {\"num_nodes\": %d, \"entities\": %lld, "
-                 "\"delivered\": %lld, \"wall_sec\": %.4f,\n"
-                 "     \"per_node_delivered\": [",
-                 r.num_nodes, static_cast<long long>(r.entities),
-                 static_cast<long long>(r.total_delivered), r.wall_sec);
-    for (size_t n = 0; n < r.per_node_delivered.size(); ++n) {
-      std::fprintf(json, "%s%lld", n == 0 ? "" : ", ",
-                   static_cast<long long>(r.per_node_delivered[n]));
-    }
-    std::fprintf(json,
-                 "],\n     \"remote_envelopes\": %lld, "
-                 "\"remote_latency_avg_us\": %.1f, "
-                 "\"remote_latency_max_us\": %.1f}%s\n",
-                 static_cast<long long>(r.remote_count), r.remote_avg_us,
-                 r.remote_max_us, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_cluster.json\n");
   return 0;
 }
 

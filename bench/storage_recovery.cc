@@ -2,7 +2,6 @@
 // three fsync policies, cold-restart recovery time as a function of log
 // size, and the checkpoint pay-off — DurableKvStore recovery replaying only
 // the WAL tail past the last snapshot instead of the store's whole history.
-// Emits BENCH_storage.json for the plotting scripts.
 //
 // Scale knobs:
 //   MARLIN_STG_RECORDS      append/recovery record count   (default 20000)
@@ -221,10 +220,9 @@ int Main() {
 
   std::printf("\n== cold-restart recovery vs log size ==\n");
   std::printf("%-10s %-10s %-12s\n", "records", "open-ms", "records/s");
-  std::vector<RecoveryResult> recoveries;
   for (const int64_t n : {records / 4, records / 2, records}) {
-    recoveries.push_back(BenchRecovery(std::max<int64_t>(n, 1), value_bytes));
-    const RecoveryResult& r = recoveries.back();
+    const RecoveryResult r =
+        BenchRecovery(std::max<int64_t>(n, 1), value_bytes);
     std::printf("%-10lld %-10.1f %-12.0f\n",
                 static_cast<long long>(r.records), r.open_ms,
                 r.records_per_s);
@@ -245,48 +243,6 @@ int Main() {
               "(tail-only recovery)\n",
               static_cast<long long>(kv_results[0].replayed),
               static_cast<long long>(kv_results[1].replayed));
-
-  FILE* json = std::fopen("BENCH_storage.json", "w");
-  if (json == nullptr) {
-    std::printf("ERROR: cannot write BENCH_storage.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"value_bytes\": %lld,\n  \"append\": [\n",
-               static_cast<long long>(value_bytes));
-  for (size_t i = 0; i < appends.size(); ++i) {
-    const AppendResult& r = appends[i];
-    std::fprintf(json,
-                 "    {\"sync\": \"%s\", \"records\": %lld, \"ms\": %.2f, "
-                 "\"records_per_s\": %.0f, \"mb_per_s\": %.2f, "
-                 "\"fsyncs\": %llu}%s\n",
-                 r.sync, static_cast<long long>(r.records), r.elapsed_ms,
-                 r.records_per_s, r.mb_per_s,
-                 static_cast<unsigned long long>(r.fsyncs),
-                 i + 1 < appends.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"recovery\": [\n");
-  for (size_t i = 0; i < recoveries.size(); ++i) {
-    const RecoveryResult& r = recoveries[i];
-    std::fprintf(json,
-                 "    {\"records\": %lld, \"open_ms\": %.2f, "
-                 "\"records_per_s\": %.0f}%s\n",
-                 static_cast<long long>(r.records), r.open_ms,
-                 r.records_per_s, i + 1 < recoveries.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"kv_recovery\": [\n");
-  for (size_t i = 0; i < kv_results.size(); ++i) {
-    const KvRecoveryResult& r = kv_results[i];
-    std::fprintf(json,
-                 "    {\"checkpoint\": %s, \"total_ops\": %lld, "
-                 "\"replayed\": %lld, \"open_ms\": %.2f}%s\n",
-                 r.checkpointed ? "true" : "false",
-                 static_cast<long long>(r.total_ops),
-                 static_cast<long long>(r.replayed), r.open_ms,
-                 i + 1 < kv_results.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote BENCH_storage.json\n");
   return 0;
 }
 

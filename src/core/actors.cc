@@ -123,7 +123,7 @@ Status VesselActor::HandlePosition(const AisPosition& report,
   }
 
   // Patterns-of-Life accumulation (historical mobility statistics).
-  if (pipeline_->config->enable_vtff && pipeline_->traffic.valid()) {
+  if (pipeline_->traffic.valid()) {
     ctx.system().Tell(pipeline_->traffic, CellObservationMsg{report},
                       ctx.self());
   }
@@ -254,7 +254,7 @@ void VesselActor::PublishForecast(const ForecastTrajectory& trajectory,
     }
   }
   // Traffic raster.
-  if (pipeline_->config->enable_vtff && pipeline_->traffic.valid()) {
+  if (pipeline_->traffic.valid()) {
     ctx.system().Tell(pipeline_->traffic, TrajectoryMsg{trajectory},
                       ctx.self());
   }
@@ -297,10 +297,6 @@ Status CellActor::Receive(const std::any& message, ActorContext& ctx) {
     }
     return Status::Ok();
   }
-  if (const auto* tick = std::any_cast<PruneTickMsg>(&message)) {
-    detector_.Prune(tick->now);
-    return Status::Ok();
-  }
   return Status::InvalidArgument("cell actor: unexpected message type");
 }
 
@@ -320,10 +316,6 @@ Status CollisionActor::Receive(const std::any& message, ActorContext& ctx) {
       observations_since_prune_ = 0;
       forecaster_.Prune(trajectory->trajectory.points.front().time);
     }
-    return Status::Ok();
-  }
-  if (const auto* tick = std::any_cast<PruneTickMsg>(&message)) {
-    forecaster_.Prune(tick->now);
     return Status::Ok();
   }
   return Status::InvalidArgument("collision actor: unexpected message type");
@@ -358,10 +350,6 @@ Status TrafficActor::Receive(const std::any& message, ActorContext& ctx) {
     ctx.Reply(forecaster_.Flow(query->step));
     return Status::Ok();
   }
-  if (const auto* tick = std::any_cast<PruneTickMsg>(&message)) {
-    forecaster_.Prune(tick->now);
-    return Status::Ok();
-  }
   return Status::InvalidArgument("traffic actor: unexpected message type");
 }
 
@@ -381,12 +369,6 @@ Status SurveillanceActor::Receive(const std::any& message,
       for (const MaritimeEvent& event : detector_.Check(latest_time_)) {
         PublishEvent(event, pipeline_, ctx);
       }
-    }
-    return Status::Ok();
-  }
-  if (const auto* tick = std::any_cast<PruneTickMsg>(&message)) {
-    for (const MaritimeEvent& event : detector_.Check(tick->now)) {
-      PublishEvent(event, pipeline_, ctx);
     }
     return Status::Ok();
   }

@@ -68,11 +68,6 @@ struct VesselStateMsg {
   ForecastTrajectory forecast;
 };
 
-/// Periodic prune tick for stateful grid actors.
-struct PruneTickMsg {
-  TimeMicros now = 0;
-};
-
 // ---- Ask payloads (replies in parentheses) ----
 
 /// Vessel actor: latest forecast (reply: TrajectoryMsg; empty reply if no

@@ -69,22 +69,17 @@ Status MaritimePipeline::Start() {
                                          context_.get(), i));
     context_->writers.push_back(writer);
   }
-  if (config_.enable_vtff) {
-    MARLIN_ASSIGN_OR_RETURN(
-        context_->traffic,
-        system_->SpawnActor<TrafficActor>("traffic", context_.get()));
-  }
+  MARLIN_ASSIGN_OR_RETURN(
+      context_->traffic,
+      system_->SpawnActor<TrafficActor>("traffic", context_.get()));
   if (!config_.monitored_ports.empty()) {
     MARLIN_ASSIGN_OR_RETURN(
         context_->ports,
         system_->SpawnActor<PortsActor>("ports", context_.get()));
   }
-  if (config_.enable_switch_off_detection) {
-    MARLIN_ASSIGN_OR_RETURN(
-        context_->surveillance,
-        system_->SpawnActor<SurveillanceActor>("surveillance",
-                                               context_.get()));
-  }
+  MARLIN_ASSIGN_OR_RETURN(
+      context_->surveillance,
+      system_->SpawnActor<SurveillanceActor>("surveillance", context_.get()));
   MARLIN_RETURN_IF_ERROR(
       broker_.CreateTopic(config_.topic, config_.topic_partitions));
   if (config_.publish_output_topics) {
@@ -226,7 +221,7 @@ std::vector<MaritimeEvent> MaritimePipeline::RecentEvents(int limit) {
 }
 
 std::vector<FlowCell> MaritimePipeline::TrafficFlow(int step) {
-  if (!config_.enable_vtff || !context_->traffic.valid()) return {};
+  if (!context_->traffic.valid()) return {};
   std::future<std::any> reply =
       system_->Ask(context_->traffic, GetTrafficFlowQuery{step});
   const std::any value = reply.get();

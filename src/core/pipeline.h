@@ -37,8 +37,7 @@ struct PipelineConfig {
   ProximityDetector::Config proximity;
   CollisionForecaster::Config collision;
   TrafficFlowForecaster::Config traffic;
-  /// AIS switch-off detection (§5). Disable for throughput-only runs.
-  bool enable_switch_off_detection = true;
+  /// AIS switch-off detection (§5).
   SwitchOffDetector::Config switch_off;
   /// Kafka-substitute topic layout for broker-backed ingestion.
   std::string topic = "ais-positions";
@@ -51,8 +50,6 @@ struct PipelineConfig {
   bool publish_output_topics = false;
   std::string events_topic = "marlin-events";
   std::string forecasts_topic = "marlin-forecasts";
-  /// Enable vessel traffic flow forecasting (aggregation actor).
-  bool enable_vtff = true;
   /// Number of writer actors. §3 deploys a single writer; "depending on
   /// system and application requirements, multiple writer actors may exist
   /// and be supported by Akka concurrently" — outputs are sharded across
@@ -190,15 +187,14 @@ class MaritimePipeline {
   /// Most recent events across the fleet, newest first.
   std::vector<MaritimeEvent> RecentEvents(int limit = 100);
 
-  /// Predicted traffic flow raster at horizon step 1..6 (empty when VTFF
-  /// is disabled).
+  /// Predicted traffic flow raster at horizon step 1..6.
   std::vector<FlowCell> TrafficFlow(int step);
 
   /// Present + forecast port traffic (empty when no ports are monitored).
   std::vector<PortTrafficStatus> PortTraffic();
 
-  /// Busiest historical cells (Patterns of Life, §4.1). Empty when VTFF is
-  /// disabled (the traffic actor hosts the aggregates).
+  /// Busiest historical cells (Patterns of Life, §4.1), aggregated by the
+  /// traffic actor.
   std::vector<CellMobilityStats> Patterns(int top_n = 20);
 
   /// Aggregate statistics.

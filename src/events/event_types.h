@@ -17,9 +17,6 @@ enum class EventType {
   /// Two vessels' forecast trajectories intersect in space and time
   /// (forecast, future-time).
   kCollisionForecast,
-  /// A vessel on a declared voyage left the corridor of historically
-  /// travelled cells for its origin-destination pair (detected).
-  kRouteDeviation,
 };
 
 std::string_view EventTypeName(EventType type);

@@ -12,8 +12,6 @@ std::string_view EventTypeName(EventType type) {
       return "AisSwitchOff";
     case EventType::kCollisionForecast:
       return "CollisionForecast";
-    case EventType::kRouteDeviation:
-      return "RouteDeviation";
   }
   return "Unknown";
 }

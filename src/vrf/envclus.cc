@@ -116,12 +116,6 @@ int EnvClusModel::BuildFromTracks(
 
 StatusOr<std::vector<LatLng>> EnvClusModel::ForecastRoute(
     int origin_port, int destination_port, VesselType type) const {
-  return ForecastRoute(origin_port, destination_port, type, CellCostFn());
-}
-
-StatusOr<std::vector<LatLng>> EnvClusModel::ForecastRoute(
-    int origin_port, int destination_port, VesselType type,
-    const CellCostFn& extra_cost) const {
   auto graph_it = graphs_.find({origin_port, destination_port});
   if (graph_it == graphs_.end()) {
     return Status::NotFound("no historical pathway for this OD pair");
@@ -168,8 +162,7 @@ StatusOr<std::vector<LatLng>> EnvClusModel::ForecastRoute(
       const double total = use_type ? node_type_total : node_total;
       const double p = (count + config_.smoothing) /
                        (total + config_.smoothing * fanout);
-      double w = -std::log(p);
-      if (extra_cost) w += extra_cost(next);
+      const double w = -std::log(p);
       auto next_it = distance.find(next);
       const double candidate = d + w;
       if (next_it == distance.end() || candidate < next_it->second - 1e-12) {

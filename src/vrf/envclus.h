@@ -2,7 +2,6 @@
 #define MARLIN_VRF_ENVCLUS_H_
 
 #include <array>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -61,11 +60,6 @@ class EnvClusModel {
   int BuildFromTracks(const std::map<Mmsi, std::vector<AisPosition>>& tracks,
                       const std::map<Mmsi, VesselType>& vessel_types = {});
 
-  /// Extra per-cell routing cost, in the same -log-probability units as the
-  /// transition weights (e.g. a weather penalty; §7's weather-aware
-  /// routing). Return 0 for no penalty.
-  using CellCostFn = std::function<double(CellId)>;
-
   /// Forecasts the route (sequence of cell-center positions, origin first)
   /// from `origin_port` to `destination_port` for a vessel of `type`.
   /// NotFound when no historical pathway connects the pair.
@@ -73,22 +67,13 @@ class EnvClusModel {
                                               int destination_port,
                                               VesselType type) const;
 
-  /// Weather-aware (or otherwise cost-biased) variant: `extra_cost` is
-  /// added to every edge entering a cell, steering the most-probable path
-  /// around penalised cells while still following historical pathways only.
-  StatusOr<std::vector<LatLng>> ForecastRoute(int origin_port,
-                                              int destination_port,
-                                              VesselType type,
-                                              const CellCostFn& extra_cost) const;
-
   /// Number of distinct OD pairs with at least one trip.
   int KnownOdPairs() const { return static_cast<int>(graphs_.size()); }
 
   /// Total trips ingested.
   int TotalTrips() const { return total_trips_; }
 
-  /// All cells ever visited on the given OD pair (for tests/inspection and
-  /// for corridor construction by the route-deviation detector).
+  /// All cells ever visited on the given OD pair (for tests/inspection).
   std::vector<CellId> VisitedCells(int origin_port,
                                    int destination_port) const;
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "ais/codec.h"
 #include "ais/preprocess.h"
@@ -157,6 +158,118 @@ TEST(AisCodecTest, StaticRoundTrip) {
 TEST(AisCodecTest, StaticRequiresTwoFragments) {
   EXPECT_FALSE(AisCodec::DecodeStatic({}).ok());
   EXPECT_FALSE(AisCodec::DecodeStatic({"!AIVDM,1,1,,A,0,0*00"}).ok());
+}
+
+TEST(ClassBCodecTest, RoundTrip) {
+  const TimeMicros t =
+      TimeMicros{1700000000} * kMicrosPerSecond + 14 * kMicrosPerSecond;
+  AisPosition original = MakeReport(339000123, t, 36.5, 25.4, 8.7, 301.2);
+  const std::string sentence = AisCodec::EncodePositionClassB(original);
+  StatusOr<AisPosition> decoded =
+      AisCodec::DecodePosition(sentence, original.timestamp);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->mmsi, original.mmsi);
+  EXPECT_NEAR(decoded->position.lat_deg, original.position.lat_deg, 1e-5);
+  EXPECT_NEAR(decoded->position.lon_deg, original.position.lon_deg, 1e-5);
+  EXPECT_NEAR(decoded->sog_knots, original.sog_knots, 0.06);
+  EXPECT_NEAR(decoded->cog_deg, original.cog_deg, 0.06);
+  EXPECT_EQ(decoded->nav_status, NavStatus::kUndefined);
+}
+
+TEST(FragmentInfoTest, ParsesSingleAndMulti) {
+  AisPosition p = MakeReport(237000001, 0, 38.0, 24.0);
+  auto single = AisCodec::ParseFragmentInfo(AisCodec::EncodePosition(p));
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single->fragment_count, 1);
+  EXPECT_EQ(single->sequence_id, -1);
+
+  AisStatic s;
+  s.mmsi = 237000001;
+  s.name = "TEST";
+  const auto pair = AisCodec::EncodeStatic(s);
+  auto first = AisCodec::ParseFragmentInfo(pair[0]);
+  auto second = AisCodec::ParseFragmentInfo(pair[1]);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->fragment_count, 2);
+  EXPECT_EQ(first->fragment_number, 1);
+  EXPECT_EQ(second->fragment_number, 2);
+  EXPECT_EQ(first->sequence_id, second->sequence_id);
+  EXPECT_FALSE(AisCodec::ParseFragmentInfo("garbage").ok());
+}
+
+TEST(AivdmAssemblerTest, SingleFragmentPassesThrough) {
+  AivdmAssembler assembler;
+  const std::string sentence =
+      AisCodec::EncodePosition(MakeReport(237000001, 0, 38.0, 24.0));
+  auto result = assembler.Feed(sentence);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ((*result)[0], sentence);
+  EXPECT_EQ(assembler.PendingGroups(), 0u);
+}
+
+TEST(AivdmAssemblerTest, ReassemblesInterleavedGroups) {
+  AisStatic a;
+  a.mmsi = 237000001;
+  a.name = "ALPHA";
+  AisStatic b;
+  b.mmsi = 237000002;
+  b.name = "BRAVO";
+  auto group_a = AisCodec::EncodeStatic(a);
+  auto group_b = AisCodec::EncodeStatic(b);
+  // Give group B a different sequence id so the groups are distinct.
+  for (std::string& sentence : group_b) {
+    const size_t pos = sentence.find(",1,A,");
+    // EncodeStatic always uses seq id 1; rewrite to 2 and fix checksum.
+    if (pos == std::string::npos) continue;
+    std::string body = sentence.substr(1, sentence.rfind('*') - 1);
+    body[body.find(",1,A,") + 1] = '2';
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "*%02X", AisCodec::Checksum(body));
+    sentence = "!" + body + buf;
+  }
+  AivdmAssembler assembler;
+  // Interleave: A1, B1, B2 (completes B), A2 (completes A).
+  auto r1 = assembler.Feed(group_a[0]);
+  ASSERT_TRUE(r1.ok());
+  EXPECT_TRUE(r1->empty());
+  auto r2 = assembler.Feed(group_b[0]);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_TRUE(r2->empty());
+  EXPECT_EQ(assembler.PendingGroups(), 2u);
+  auto r3 = assembler.Feed(group_b[1]);
+  ASSERT_TRUE(r3.ok());
+  ASSERT_EQ(r3->size(), 2u);
+  auto decoded_b = AisCodec::DecodeStatic(*r3);
+  ASSERT_TRUE(decoded_b.ok());
+  EXPECT_EQ(decoded_b->name, "BRAVO");
+  auto r4 = assembler.Feed(group_a[1]);
+  ASSERT_TRUE(r4.ok());
+  ASSERT_EQ(r4->size(), 2u);
+  auto decoded_a = AisCodec::DecodeStatic(*r4);
+  ASSERT_TRUE(decoded_a.ok());
+  EXPECT_EQ(decoded_a->name, "ALPHA");
+  EXPECT_EQ(assembler.PendingGroups(), 0u);
+}
+
+TEST(AivdmAssemblerTest, EvictsStaleGroups) {
+  AivdmAssembler assembler(2);
+  AisStatic s;
+  s.name = "X";
+  // Feed only first fragments of many groups with distinct mmsi/seq —
+  // EncodeStatic always emits seq 1, so rewrite the channel letter to vary
+  // the key instead.
+  for (char channel : {'A', 'B', 'C', 'D'}) {
+    s.mmsi = 237000000 + channel;
+    auto pair = AisCodec::EncodeStatic(s);
+    std::string body = pair[0].substr(1, pair[0].rfind('*') - 1);
+    body[body.find(",1,A,") + 3] = channel;
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "*%02X", AisCodec::Checksum(body));
+    ASSERT_TRUE(assembler.Feed("!" + body + buf).ok());
+  }
+  EXPECT_LE(assembler.PendingGroups(), 2u);
 }
 
 // ---------------------------------------------------------- Downsampler

@@ -18,6 +18,7 @@
 #include "geo/world.h"
 #include "sim/des/event_fleet.h"
 #include "sim/proximity_dataset.h"
+#include "stream/broker.h"
 #include "vrf/inference_batcher.h"
 #include "vrf/linear_model.h"
 #include "vrf/svrf_model.h"
@@ -204,15 +205,6 @@ TEST(PipelineTest, TrafficFlowRasterPopulated) {
     EXPECT_EQ(total, 5) << "step " << step;
   }
   EXPECT_TRUE(pipeline->TrafficFlow(0).empty());
-}
-
-TEST(PipelineTest, VtffDisabledYieldsEmptyFlow) {
-  PipelineConfig config;
-  config.enable_vtff = false;
-  auto pipeline = MakePipeline(config);
-  FeedStraightTrack(pipeline.get(), 4000, kSvrfInputLength + 3);
-  pipeline->AwaitQuiescence();
-  EXPECT_TRUE(pipeline->TrafficFlow(1).empty());
 }
 
 TEST(PipelineTest, WriterPublishesVesselStateToStore) {
@@ -515,6 +507,159 @@ TEST(VesselActorTest, OlderBatchedResultDoesNotReplaceNewerInlineForecast) {
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ(*stored, PrintfForecast(*expected));
   system.Shutdown();
+}
+
+// ---------------------------------------------------------- Output topics
+
+TEST(OutputTopicsTest, EventsAndForecastsPublished) {
+  PipelineConfig config;
+  config.actor_system.num_threads = 2;
+  config.publish_output_topics = true;
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+  ASSERT_TRUE(pipeline.Start().ok());
+  // Full window -> forecasts; close pair -> proximity event. Each position
+  // is fully processed before the next, so the later ones find a forecast
+  // already held.
+  LatLng position{38.0, 24.0};
+  for (int i = 0; i < kSvrfInputLength + 3; ++i) {
+    ASSERT_TRUE(pipeline
+                    .Ingest(At(700,
+                               static_cast<TimeMicros>(i) * kMicrosPerMinute,
+                               position.lat_deg, position.lon_deg))
+                    .ok());
+    pipeline.AwaitQuiescence();
+    position = DestinationPoint(position, 90.0, 12.0 * kKnotsToMps * 60.0);
+  }
+  const LatLng partner =
+      DestinationPoint(position, 270.0, 12.0 * kKnotsToMps * 60.0 + 100.0);
+  ASSERT_TRUE(
+      pipeline
+          .Ingest(At(701,
+                     static_cast<TimeMicros>(kSvrfInputLength + 2) *
+                             kMicrosPerMinute +
+                         kMicrosPerSecond,
+                     partner.lat_deg, partner.lon_deg))
+          .ok());
+  pipeline.AwaitQuiescence();
+
+  Consumer forecast_consumer(&pipeline.broker(), "test", "marlin-forecasts");
+  const auto forecasts = forecast_consumer.Poll(1000);
+  ASSERT_FALSE(forecasts.empty());
+  EXPECT_EQ(forecasts[0].key, "700");
+  // Record: mmsi;lat,lon,t;... with 7 points.
+  size_t separators = 0;
+  for (char c : forecasts[0].value) separators += c == ';';
+  EXPECT_EQ(separators, static_cast<size_t>(kSvrfOutputSteps + 1));
+  // One record per forecast: a held forecast is not republished with
+  // every later position. Only vessel 700 has a full window.
+  int64_t vessel_records = 0;
+  for (const Record& record : forecasts) vessel_records += record.key == "700";
+  EXPECT_EQ(vessel_records, pipeline.Stats().forecasts_generated);
+  EXPECT_GT(vessel_records, 0);
+
+  Consumer event_consumer(&pipeline.broker(), "test", "marlin-events");
+  const auto events = event_consumer.Poll(1000);
+  ASSERT_FALSE(events.empty());
+  EXPECT_NE(events[0].value.find("Proximity"), std::string::npos);
+}
+
+TEST(OutputTopicsTest, DisabledByDefault) {
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>());
+  ASSERT_TRUE(pipeline.Start().ok());
+  EXPECT_FALSE(pipeline.broker().HasTopic("marlin-forecasts"));
+  EXPECT_FALSE(pipeline.broker().HasTopic("marlin-events"));
+}
+
+// ---------------------------------------------------------- Multi-writer
+
+TEST(MultiWriterTest, StateShardsAcrossWritersButStoreIsComplete) {
+  PipelineConfig config;
+  config.actor_system.num_threads = 2;
+  config.num_writer_actors = 4;
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+  ASSERT_TRUE(pipeline.Start().ok());
+  for (Mmsi mmsi = 100; mmsi < 140; ++mmsi) {
+    ASSERT_TRUE(pipeline
+                    .Ingest(At(mmsi, kMicrosPerSecond, 30.0 + mmsi * 0.1,
+                               10.0))
+                    .ok());
+  }
+  pipeline.AwaitQuiescence();
+  // Four writer actors spawned.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(pipeline.system().Find("writer-" + std::to_string(i)).ok());
+  }
+  EXPECT_FALSE(pipeline.system().Find("writer-4").ok());
+  // Every vessel's state landed in the shared store regardless of shard.
+  EXPECT_EQ(pipeline.store().ScanPrefix("vessel:").size(), 40u);
+}
+
+TEST(MultiWriterTest, RecentEventsMergedAcrossShards) {
+  PipelineConfig config;
+  config.actor_system.num_threads = 2;
+  config.num_writer_actors = 3;
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+  ASSERT_TRUE(pipeline.Start().ok());
+  // Proximity pairs with MMSIs landing on different writer shards
+  // (mmsi % 3 differs per pair).
+  for (int pair = 0; pair < 6; ++pair) {
+    const Mmsi a = 300 + static_cast<Mmsi>(pair) * 2;
+    const Mmsi b = a + 1;
+    const double lat = 30.0 + pair;
+    const TimeMicros t =
+        kMicrosPerSecond + static_cast<TimeMicros>(pair) * kMicrosPerMinute;
+    ASSERT_TRUE(pipeline.Ingest(At(a, t, lat, 10.0)).ok());
+    pipeline.AwaitQuiescence();
+    ASSERT_TRUE(pipeline.Ingest(At(b, t + kMicrosPerSecond, lat, 10.002)).ok());
+    pipeline.AwaitQuiescence();
+  }
+  const auto events = pipeline.RecentEvents(100);
+  EXPECT_EQ(events.size(), 6u);
+  // Newest first after the merge.
+  for (size_t i = 1; i < events.size(); ++i) {
+    EXPECT_GE(events[i - 1].detected_at, events[i].detected_at);
+  }
+  // Event keys are sharded but all present.
+  EXPECT_EQ(pipeline.store().ScanPrefix("event:").size(), 6u);
+}
+
+// ---------------------------------------------------- Ports actor wiring
+
+TEST(PortsActorTest, OccupancyAndInboundThroughPipeline) {
+  PipelineConfig config;
+  config.actor_system.num_threads = 2;
+  config.monitored_ports = {{"Alpha", LatLng{38.0, 24.0}},
+                            {"Beta", LatLng{44.0, 30.0}}};
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+  ASSERT_TRUE(pipeline.Start().ok());
+
+  // Vessel 1 sits in port Alpha.
+  ASSERT_TRUE(pipeline.Ingest(At(1, kMicrosPerMinute, 38.0, 24.0, 0.5)).ok());
+  // Vessel 2 approaches Alpha from 25 km west at 30 knots with a full
+  // history window, so its forecast reaches the port radius.
+  LatLng position = DestinationPoint(LatLng{38.0, 24.0}, 270.0, 45000.0);
+  for (int i = 0; i <= kSvrfInputLength + 1; ++i) {
+    ASSERT_TRUE(pipeline
+                    .Ingest(At(2, static_cast<TimeMicros>(i) * kMicrosPerMinute,
+                               position.lat_deg, position.lon_deg, 30.0, 90.0))
+                    .ok());
+    position = DestinationPoint(position, 90.0, 30.0 * kKnotsToMps * 60.0);
+  }
+  pipeline.AwaitQuiescence();
+
+  const auto ports = pipeline.PortTraffic();
+  ASSERT_EQ(ports.size(), 2u);
+  EXPECT_EQ(ports[0].name, "Alpha");
+  EXPECT_EQ(ports[0].occupancy, 1);
+  EXPECT_GE(ports[0].inbound_30min, 1);
+  EXPECT_EQ(ports[1].occupancy, 0);
+}
+
+TEST(PortsActorTest, DisabledWithoutMonitoredPorts) {
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>());
+  ASSERT_TRUE(pipeline.Start().ok());
+  EXPECT_TRUE(pipeline.PortTraffic().empty());
+  EXPECT_FALSE(pipeline.system().Find("ports").ok());
 }
 
 }  // namespace

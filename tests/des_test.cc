@@ -17,6 +17,7 @@
 #include "ais/codec.h"
 #include "bench/bench_util.h"
 #include "chk/deterministic_scheduler.h"
+#include "chk/fingerprint.h"
 #include "core/pipeline.h"
 #include "sim/des/event_fleet.h"
 #include "sim/des/event_queue.h"
@@ -216,6 +217,10 @@ struct PipelineRun {
   size_t actors = 0;
   /// chk::DeterministicScheduler::TraceHash() when the run used one.
   uint64_t sched_hash = 0;
+  /// Live kv keys after the last quiescence, and FNV-1a over every
+  /// `key\tvalue\n` line of the store's sorted snapshot.
+  size_t kv_keys = 0;
+  uint64_t kv_hash = 0;
 };
 
 /// Replays `vessels` of the fleet for `seconds` through a pipeline in 20 s
@@ -247,6 +252,16 @@ PipelineRun RunVirtualPipeline(
   run.events = stats.events_detected;
   run.actors = stats.actor_count;
   if (dispatcher != nullptr) run.sched_hash = dispatcher->TraceHash();
+  const auto snapshot = pipeline.store().Snapshot();
+  chk::Fingerprint kv;
+  for (const auto& [key, value] : snapshot) {
+    kv.MixBytes(key);
+    kv.MixByte('\t');
+    kv.MixBytes(value);
+    kv.MixByte('\n');
+  }
+  run.kv_keys = snapshot.size();
+  run.kv_hash = kv.Value();
   return run;
 }
 
@@ -280,8 +295,8 @@ TEST(VirtualPipelineTest, ChkSeedReproducesPipelineTotals) {
   // position relays reach the cell actors, so under a thread pool their
   // counts jitter run to run. With the actor interleaving serialised on a
   // chk::DeterministicScheduler, one seed fixes the whole pipeline: every
-  // total, the interleaving-sensitive event count included, and the
-  // schedule fingerprint itself must reproduce exactly.
+  // total, the interleaving-sensitive event count included, the schedule
+  // fingerprint and the kv contents must reproduce exactly.
   const PipelineRun first = RunChkPipeline(42);
   const PipelineRun second = RunChkPipeline(42);
   EXPECT_GT(first.events, 0);
@@ -290,6 +305,20 @@ TEST(VirtualPipelineTest, ChkSeedReproducesPipelineTotals) {
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.actors, second.actors);
   EXPECT_EQ(first.sched_hash, second.sched_hash);
+  EXPECT_EQ(first.kv_keys, second.kv_keys);
+  EXPECT_EQ(first.kv_hash, second.kv_hash);
+
+  // The values themselves are pinned too, so a change to what any stage
+  // writes (a forecast, an event, a kv field or its rendering) or to the
+  // actor interleaving fails here. Re-pin them only for a deliberate output
+  // change, the way EventFleetTest.StreamIsPinned pins the feed.
+  EXPECT_EQ(first.positions, 15221);
+  EXPECT_EQ(first.forecasts, 1820);
+  EXPECT_EQ(first.events, 54);
+  EXPECT_EQ(first.actors, 2142u);
+  EXPECT_EQ(first.sched_hash, 0xcd51c930ffa5be6cULL);
+  EXPECT_EQ(first.kv_keys, 449u);
+  EXPECT_EQ(first.kv_hash, 0x3431d71712036d8cULL);
 }
 
 /// Counter actor for the chk-integration test.

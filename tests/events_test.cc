@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "events/collision.h"
+#include "events/collision_avoidance.h"
+#include "events/port_congestion.h"
 #include "sim/collision_eval.h"
 #include "events/proximity.h"
 #include "events/switch_off.h"
@@ -279,6 +281,119 @@ TEST(CollisionForecasterTest, PruneDropsStaleTrajectories) {
   EXPECT_EQ(forecaster.TrackedVessels(), 0u);
 }
 
+// ------------------------------------------------- MinTrajectoryDistance
+
+TEST(MinTrajectoryDistanceTest, HeadOnPairApproachesZero) {
+  const LatLng a{38.0, 24.0};
+  const LatLng b = DestinationPoint(a, 90.0, 8000.0);
+  const auto ta = MakeTrajectory(1, 0, a.lat_deg, a.lon_deg, 90.0, 12.0);
+  const auto tb = MakeTrajectory(2, 0, b.lat_deg, b.lon_deg, 270.0, 12.0);
+  TimeMicros when = 0;
+  LatLng where;
+  const double d =
+      MinTrajectoryDistance(ta, tb, 2 * kMicrosPerMinute, &when, &where);
+  EXPECT_LT(d, 400.0);
+  EXPECT_GT(when, 0);
+  EXPECT_NEAR(where.lat_deg, 38.0, 0.05);
+}
+
+TEST(MinTrajectoryDistanceTest, ParallelPairKeepsSeparation) {
+  const LatLng a{38.0, 24.0};
+  const LatLng b = DestinationPoint(a, 0.0, 5000.0);
+  const auto ta = MakeTrajectory(1, 0, a.lat_deg, a.lon_deg, 90.0, 12.0);
+  const auto tb = MakeTrajectory(2, 0, b.lat_deg, b.lon_deg, 90.0, 12.0);
+  const double d = MinTrajectoryDistance(ta, tb, 2 * kMicrosPerMinute);
+  EXPECT_NEAR(d, 5000.0, 300.0);
+}
+
+TEST(MinTrajectoryDistanceTest, EmptyTrajectoriesAreInfinitelyFar) {
+  ForecastTrajectory empty;
+  const auto t = MakeTrajectory(1, 0, 38.0, 24.0, 90.0, 12.0);
+  EXPECT_GT(MinTrajectoryDistance(empty, t, kMicrosPerMinute), 1e17);
+}
+
+// ---------------------------------------------------- CollisionAvoidance
+
+TEST(CollisionAvoidanceTest, ProposesStarboardAlterationOnHeadOn) {
+  const LatLng a{38.0, 24.0};
+  const LatLng b = DestinationPoint(a, 90.0, 9000.0);
+  const auto own = MakeTrajectory(1, 0, a.lat_deg, a.lon_deg, 90.0, 12.0);
+  const auto other = MakeTrajectory(2, 0, b.lat_deg, b.lon_deg, 270.0, 12.0);
+  CollisionAvoidance avoidance;
+  auto maneuver = avoidance.Propose(own, other);
+  ASSERT_TRUE(maneuver.ok()) << maneuver.status().ToString();
+  EXPECT_EQ(maneuver->vessel, 1u);
+  EXPECT_GT(maneuver->course_change_deg, 0.0);  // starboard preferred
+  EXPECT_GE(maneuver->clearance_m, 1500.0);
+  // The manoeuvre verifies: applying the course clears the other vessel.
+  const auto altered =
+      CollisionAvoidance::ApplyCourse(own, maneuver->new_course_deg);
+  EXPECT_GE(MinTrajectoryDistance(altered, other, 2 * kMicrosPerMinute),
+            1500.0);
+}
+
+TEST(CollisionAvoidanceTest, AlreadyClearIsFailedPrecondition) {
+  const LatLng a{38.0, 24.0};
+  const LatLng b = DestinationPoint(a, 0.0, 20000.0);
+  const auto own = MakeTrajectory(1, 0, a.lat_deg, a.lon_deg, 90.0, 12.0);
+  const auto other = MakeTrajectory(2, 0, b.lat_deg, b.lon_deg, 90.0, 12.0);
+  CollisionAvoidance avoidance;
+  EXPECT_EQ(avoidance.Propose(own, other).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(CollisionAvoidanceTest, PrefersSmallestSufficientAlteration) {
+  // Crossing geometry where a modest alteration suffices: the proposal
+  // should not jump straight to the maximum.
+  const LatLng cross{38.0, 24.0};
+  const double sog = 14.0;
+  const LatLng own_start =
+      DestinationPoint(cross, 270.0, sog * kKnotsToMps * 900.0);
+  const LatLng other_start =
+      DestinationPoint(cross, 180.0, sog * kKnotsToMps * 900.0);
+  const auto own = MakeTrajectory(1, 0, own_start.lat_deg, own_start.lon_deg,
+                                  90.0, sog);
+  const auto other = MakeTrajectory(2, 0, other_start.lat_deg,
+                                    other_start.lon_deg, 0.0, sog);
+  CollisionAvoidance avoidance;
+  auto maneuver = avoidance.Propose(own, other);
+  ASSERT_TRUE(maneuver.ok()) << maneuver.status().ToString();
+  EXPECT_LE(std::abs(maneuver->course_change_deg), 60.0);
+}
+
+TEST(CollisionAvoidanceTest, ImpossibleClearanceIsNotFound) {
+  // Demand an absurd clearance no 60-degree alteration can provide.
+  const LatLng a{38.0, 24.0};
+  const LatLng b = DestinationPoint(a, 90.0, 9000.0);
+  CollisionAvoidance::Config config;
+  config.min_clearance_m = 500000.0;
+  CollisionAvoidance avoidance(config);
+  auto result = avoidance.Propose(
+      MakeTrajectory(1, 0, a.lat_deg, a.lon_deg, 90.0, 12.0),
+      MakeTrajectory(2, 0, b.lat_deg, b.lon_deg, 270.0, 12.0));
+  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(CollisionAvoidanceTest, ApplyCoursePreservesTimesAndSpeed) {
+  const auto own = MakeTrajectory(7, 1000, 38.0, 24.0, 90.0, 12.0);
+  const auto altered = CollisionAvoidance::ApplyCourse(own, 135.0);
+  ASSERT_EQ(altered.points.size(), own.points.size());
+  EXPECT_EQ(altered.mmsi, own.mmsi);
+  for (size_t i = 0; i < own.points.size(); ++i) {
+    EXPECT_EQ(altered.points[i].time, own.points[i].time);
+  }
+  // Per-step distance preserved (same implied speed).
+  const double original = ApproxDistanceMeters(own.points[0].position,
+                                               own.points[1].position);
+  const double rebuilt = ApproxDistanceMeters(altered.points[0].position,
+                                              altered.points[1].position);
+  EXPECT_NEAR(rebuilt, original, original * 0.02);
+  // New heading honoured.
+  EXPECT_NEAR(InitialBearingDeg(altered.points[0].position,
+                                altered.points[1].position),
+              135.0, 1.0);
+}
+
 // ------------------------------------------------------------------ VTFF
 
 TEST(TrafficFlowTest, CountsVesselsPerCellAndWindow) {
@@ -415,6 +530,80 @@ TEST(CollisionEvalTest, MetricsAreConsistent) {
   EXPECT_NEAR(r.recall, static_cast<double>(r.tp) / (r.tp + r.fn), 1e-12);
   EXPECT_NEAR(r.accuracy,
               static_cast<double>(r.tp) / (r.tp + r.fp + r.fn), 1e-12);
+}
+
+// -------------------------------------------------------- PortCongestion
+
+TEST(PortCongestionTest, OccupancyTracksPresence) {
+  std::vector<Port> ports = {{"Alpha", LatLng{38.0, 24.0}},
+                             {"Beta", LatLng{40.0, 26.0}}};
+  PortCongestionMonitor monitor(ports);
+  // Two vessels in Alpha, one in Beta.
+  monitor.ObservePosition(At(1, kMicrosPerMinute, 38.01, 24.01));
+  monitor.ObservePosition(At(2, kMicrosPerMinute, 38.02, 23.99));
+  monitor.ObservePosition(At(3, kMicrosPerMinute, 40.01, 26.0));
+  auto status = monitor.Status(2 * kMicrosPerMinute);
+  EXPECT_EQ(status[0].occupancy, 2);
+  EXPECT_EQ(status[1].occupancy, 1);
+  EXPECT_FALSE(status[0].congested);
+}
+
+TEST(PortCongestionTest, DepartureMovesOccupancy) {
+  std::vector<Port> ports = {{"Alpha", LatLng{38.0, 24.0}},
+                             {"Beta", LatLng{40.0, 26.0}}};
+  PortCongestionMonitor monitor(ports);
+  monitor.ObservePosition(At(1, kMicrosPerMinute, 38.0, 24.0));
+  EXPECT_EQ(monitor.PortStatus(0, 2 * kMicrosPerMinute).occupancy, 1);
+  // Vessel sails away (mid-sea), then shows up at Beta.
+  monitor.ObservePosition(At(1, 10 * kMicrosPerMinute, 39.0, 25.0));
+  EXPECT_EQ(monitor.PortStatus(0, 11 * kMicrosPerMinute).occupancy, 0);
+  monitor.ObservePosition(At(1, 20 * kMicrosPerMinute, 40.0, 26.0));
+  EXPECT_EQ(monitor.PortStatus(1, 21 * kMicrosPerMinute).occupancy, 1);
+}
+
+TEST(PortCongestionTest, PresenceExpires) {
+  std::vector<Port> ports = {{"Alpha", LatLng{38.0, 24.0}}};
+  PortCongestionMonitor::Config config;
+  config.presence_ttl = 30 * kMicrosPerMinute;
+  PortCongestionMonitor monitor(ports, config);
+  monitor.ObservePosition(At(1, 0, 38.0, 24.0));
+  EXPECT_EQ(monitor.PortStatus(0, 10 * kMicrosPerMinute).occupancy, 1);
+  EXPECT_EQ(monitor.PortStatus(0, 60 * kMicrosPerMinute).occupancy, 0);
+}
+
+TEST(PortCongestionTest, ForecastArrivalsCountAsInbound) {
+  std::vector<Port> ports = {{"Alpha", LatLng{38.0, 24.0}}};
+  PortCongestionMonitor monitor(ports);
+  // Vessel 25 km west of the port heading east at 30 knots: the forecast
+  // enters the 20 km port radius within 30 min.
+  const LatLng start = DestinationPoint(LatLng{38.0, 24.0}, 270.0, 25000.0);
+  monitor.ObserveForecast(MakeTrajectory(9, kMicrosPerMinute, start.lat_deg,
+                                         start.lon_deg, 90.0, 30.0));
+  const auto status = monitor.PortStatus(0, 2 * kMicrosPerMinute);
+  EXPECT_EQ(status.inbound_30min, 1);
+  EXPECT_EQ(status.occupancy, 0);
+}
+
+TEST(PortCongestionTest, CongestionFlagThreshold) {
+  std::vector<Port> ports = {{"Alpha", LatLng{38.0, 24.0}}};
+  PortCongestionMonitor::Config config;
+  config.congestion_threshold = 3;
+  PortCongestionMonitor monitor(ports, config);
+  for (Mmsi mmsi = 1; mmsi <= 4; ++mmsi) {
+    monitor.ObservePosition(At(mmsi, kMicrosPerMinute, 38.0, 24.0));
+  }
+  EXPECT_TRUE(monitor.PortStatus(0, 2 * kMicrosPerMinute).congested);
+}
+
+TEST(PortCongestionTest, InPortVesselNotInbound) {
+  std::vector<Port> ports = {{"Alpha", LatLng{38.0, 24.0}}};
+  PortCongestionMonitor monitor(ports);
+  monitor.ObservePosition(At(5, kMicrosPerMinute, 38.0, 24.0));
+  monitor.ObserveForecast(
+      MakeTrajectory(5, kMicrosPerMinute, 38.0, 24.0, 90.0, 2.0));
+  const auto status = monitor.PortStatus(0, 2 * kMicrosPerMinute);
+  EXPECT_EQ(status.occupancy, 1);
+  EXPECT_EQ(status.inbound_30min, 0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <unordered_set>
 
@@ -209,6 +210,59 @@ TEST(HexGridTest, DistinctCellsTileWithoutOverlap) {
     }
     prev = cell;
   }
+}
+
+// -------------------------------------------------------------- Polyfill
+
+TEST(PolyfillTest, CoversEveryPointOfTheBox) {
+  const BoundingBox box{37.0, 23.0, 38.5, 25.0};
+  const int resolution = 6;
+  const auto cells = HexGrid::Polyfill(box, resolution);
+  ASSERT_FALSE(cells.empty());
+  const std::unordered_set<CellId> cell_set(cells.begin(), cells.end());
+  Rng rng(8);
+  for (int i = 0; i < 2000; ++i) {
+    const LatLng p{rng.Uniform(box.min_lat, box.max_lat),
+                   rng.Uniform(box.min_lon, box.max_lon)};
+    EXPECT_TRUE(cell_set.count(HexGrid::LatLngToCell(p, resolution)) > 0)
+        << p.lat_deg << "," << p.lon_deg;
+  }
+}
+
+TEST(PolyfillTest, CellCountMatchesAreaEstimate) {
+  const BoundingBox box{36.0, 20.0, 40.0, 26.0};
+  const int resolution = 6;
+  const auto cells = HexGrid::Polyfill(box, resolution);
+  // Rough area check: box area / cell area within a factor of ~2 of the
+  // returned count (boundary cells inflate it).
+  const double height_m =
+      (box.max_lat - box.min_lat) * kDegToRad * kEarthRadiusMeters;
+  const double width_m = (box.max_lon - box.min_lon) * kDegToRad *
+                         kEarthRadiusMeters *
+                         std::cos(38.0 * kDegToRad);
+  const double expected =
+      height_m * width_m / HexGrid::CellAreaSqMeters(resolution);
+  EXPECT_GT(static_cast<double>(cells.size()), expected * 0.7);
+  EXPECT_LT(static_cast<double>(cells.size()), expected * 2.5);
+}
+
+TEST(PolyfillTest, SortedUniqueAndResolutionTagged) {
+  const BoundingBox box{10.0, 10.0, 10.5, 10.5};
+  const auto cells = HexGrid::Polyfill(box, 8);
+  for (size_t i = 1; i < cells.size(); ++i) {
+    EXPECT_LT(cells[i - 1], cells[i]);
+  }
+  for (CellId cell : cells) {
+    EXPECT_EQ(HexGrid::Resolution(cell), 8);
+  }
+  EXPECT_TRUE(HexGrid::Polyfill(box, -1).empty());
+  EXPECT_TRUE(HexGrid::Polyfill(box, 99).empty());
+}
+
+TEST(PolyfillTest, TinyBoxYieldsAtLeastOneCell) {
+  const BoundingBox box{37.95, 23.64, 37.951, 23.641};
+  const auto cells = HexGrid::Polyfill(box, 5);
+  EXPECT_GE(cells.size(), 1u);
 }
 
 }  // namespace

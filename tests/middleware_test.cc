@@ -208,5 +208,26 @@ TEST_F(ApiServiceTest, ClusterRoute404WithoutProviderAnd200With) {
   EXPECT_NE(response.body.find("\"epoch\":2"), std::string::npos);
 }
 
+TEST(PortsActorTest, ApiRouteServesPortStatus) {
+  PipelineConfig config;
+  config.actor_system.num_threads = 2;
+  config.monitored_ports = {{"Gamma", LatLng{51.95, 4.05}}};
+  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
+  ASSERT_TRUE(pipeline.Start().ok());
+  AisPosition in_port;
+  in_port.mmsi = 9;
+  in_port.timestamp = kMicrosPerMinute;
+  in_port.position = LatLng{51.96, 4.06};
+  in_port.sog_knots = 1.0;
+  in_port.cog_deg = 90.0;
+  ASSERT_TRUE(pipeline.Ingest(in_port).ok());
+  pipeline.AwaitQuiescence();
+  ApiService api(&pipeline);
+  const ApiResponse response = api.Handle("GET", "/ports");
+  EXPECT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find("\"Gamma\""), std::string::npos);
+  EXPECT_NE(response.body.find("\"occupancy\":1"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace marlin

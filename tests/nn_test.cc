@@ -328,6 +328,68 @@ TEST(AdamTest, L1PushesRegularisedWeightsTowardZero) {
   EXPECT_DOUBLE_EQ(free.value(0, 0), 0.5);
 }
 
+TEST(ClipNormTest, ClipsLargeGradients) {
+  Parameter p("p", 2, 2);
+  p.grad(0, 0) = 30.0;
+  p.grad(1, 1) = 40.0;  // norm 50
+  AdamOptimizer::Options options;
+  options.clip_norm = 5.0;
+  options.learning_rate = 0.0;  // isolate the clipping effect
+  AdamOptimizer adam(options);
+  adam.Step({&p});
+  // Gradient was zeroed by Step; verify through a second parameter trick:
+  // re-run with lr > 0 and check the update magnitude is bounded.
+  Parameter q("q", 1, 1);
+  q.grad(0, 0) = 1000.0;
+  AdamOptimizer::Options options2;
+  options2.clip_norm = 1.0;
+  options2.learning_rate = 0.1;
+  AdamOptimizer adam2(options2);
+  adam2.Step({&q});
+  // With Adam the first-step update is ~lr regardless, but the moment
+  // estimate built from the clipped gradient is 1.0, not 1000.
+  EXPECT_NEAR(q.adam_m(0, 0), 0.1, 1e-9);  // (1-beta1) * clipped(1.0)
+}
+
+TEST(ClipNormTest, SmallGradientsUntouched) {
+  Parameter p("p", 1, 1);
+  p.grad(0, 0) = 0.5;
+  AdamOptimizer::Options options;
+  options.clip_norm = 10.0;
+  AdamOptimizer adam(options);
+  adam.Step({&p});
+  EXPECT_NEAR(p.adam_m(0, 0), 0.05, 1e-12);  // (1-beta1) * 0.5 unclipped
+}
+
+TEST(ClipNormTest, TrainingWithClippingStillLearns) {
+  SequenceRegressor::Config config;
+  config.input_dim = 1;
+  config.hidden_dim = 4;
+  config.dense_dim = 4;
+  config.output_dim = 1;
+  SequenceRegressor model(config);
+  Rng rng(12);
+  std::vector<SeqSample> train(150);
+  for (auto& sample : train) {
+    sample.steps.assign(4, {0.0});
+    double sum = 0.0;
+    for (auto& step : sample.steps) {
+      step[0] = rng.Uniform(-0.5, 0.5);
+      sum += step[0];
+    }
+    sample.target = {sum};
+  }
+  const double before = Trainer::Mse(&model, train);
+  Trainer::Options options;
+  options.epochs = 30;
+  options.learning_rate = 5e-3;
+  options.clip_norm = 1.0;
+  options.l1_lambda = 0.0;
+  Trainer trainer(options);
+  trainer.Fit(&model, train);
+  EXPECT_LT(Trainer::Mse(&model, train), before * 0.3);
+}
+
 // ---------------------------------------------------------------- Training
 
 std::vector<SeqSample> MakeSumDataset(int n, int steps, uint64_t seed) {

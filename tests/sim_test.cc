@@ -10,7 +10,6 @@
 #include "sim/des/scheduler.h"
 #include "sim/proximity_dataset.h"
 #include "sim/vessel.h"
-#include "sim/weather.h"
 
 namespace marlin {
 namespace {
@@ -366,19 +365,6 @@ TEST(ProximityDatasetTest, DeterministicForSeed) {
     EXPECT_DOUBLE_EQ(a.scenarios[i].truth.cpa_distance_m,
                      b.scenarios[i].truth.cpa_distance_m);
   }
-}
-
-// -------------------------------------------------------------- Weather
-
-TEST(WeatherTest, CellEnrichmentMatchesCenterSample) {
-  const WeatherField field(11);
-  const LatLng p{44.0, -30.0};
-  const CellId cell = HexGrid::LatLngToCell(p, 6);
-  const TimeMicros t = TimeMicros{1700000000} * kMicrosPerSecond;
-  const WeatherSample at_cell = field.AtCell(cell, t);
-  const WeatherSample at_center = field.At(HexGrid::CellToLatLng(cell), t);
-  EXPECT_DOUBLE_EQ(at_cell.wind_speed_mps, at_center.wind_speed_mps);
-  EXPECT_DOUBLE_EQ(at_cell.wave_height_m, at_center.wave_height_m);
 }
 
 // ------------------------------------------------------ Encounter tracks

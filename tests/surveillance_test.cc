@@ -73,15 +73,6 @@ TEST(SurveillanceTest, SwitchOffDetectedEndToEnd) {
   EXPECT_TRUE(vessel_notified);
 }
 
-TEST(SurveillanceTest, DisabledConfigSpawnsNoActor) {
-  PipelineConfig config;
-  config.actor_system.num_threads = 2;
-  config.enable_switch_off_detection = false;
-  MaritimePipeline pipeline(std::make_shared<LinearKinematicModel>(), config);
-  ASSERT_TRUE(pipeline.Start().ok());
-  EXPECT_FALSE(pipeline.system().Find("surveillance").ok());
-}
-
 TEST(SurveillanceTest, SimulatedTransmitterSwitchOffCaughtInFleetStream) {
   // End-to-end on the simulated fleet: one vessel of a small fleet
   // switches its transmitter off after a 40-minute baseline, i.e. its

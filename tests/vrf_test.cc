@@ -236,6 +236,26 @@ TEST(EnvClusTest, ExtractTripsFindsPortToPortSegments) {
   EXPECT_EQ(trips[1].destination_port, 2);
 }
 
+/// One historical voyage along `lane`, a position per waypoint at
+/// 1-minute spacing.
+Trip LaneTrip(const Lane& lane, Mmsi mmsi, VesselType type) {
+  Trip trip;
+  trip.mmsi = mmsi;
+  trip.origin_port = lane.from_port;
+  trip.destination_port = lane.to_port;
+  trip.vessel_type = type;
+  TimeMicros t = 0;
+  for (const LatLng& waypoint : lane.waypoints) {
+    AisPosition p;
+    p.mmsi = mmsi;
+    p.timestamp = t;
+    p.position = waypoint;
+    trip.points.push_back(p);
+    t += kMicrosPerMinute;
+  }
+  return trip;
+}
+
 TEST(EnvClusTest, ForecastFollowsHistoricalPathway) {
   const BoundingBox box{34.0, 18.0, 44.0, 30.0};
   const World world = World::RegionalWorld(box, 3, 13);
@@ -248,21 +268,8 @@ TEST(EnvClusTest, ForecastFollowsHistoricalPathway) {
   }
   ASSERT_NE(lane, nullptr);
   for (int trip_index = 0; trip_index < 5; ++trip_index) {
-    Trip trip;
-    trip.mmsi = 1000 + static_cast<Mmsi>(trip_index);
-    trip.origin_port = 0;
-    trip.destination_port = 1;
-    trip.vessel_type = VesselType::kCargo;
-    TimeMicros t = 0;
-    for (const LatLng& w : lane->waypoints) {
-      AisPosition p;
-      p.mmsi = trip.mmsi;
-      p.timestamp = t;
-      p.position = w;
-      trip.points.push_back(p);
-      t += kMicrosPerMinute;
-    }
-    model.AddTrip(trip);
+    model.AddTrip(LaneTrip(*lane, 1000 + static_cast<Mmsi>(trip_index),
+                           VesselType::kCargo));
   }
   EXPECT_EQ(model.TotalTrips(), 5);
   EXPECT_EQ(model.KnownOdPairs(), 1);
@@ -347,6 +354,65 @@ TEST(EnvClusTest, JunctionClassifierPrefersTypeConditionedBranch) {
                         (*tanker_route)[std::min(i, tanker_route->size() - 1)]));
   }
   EXPECT_GT(max_separation, 50000.0);
+}
+
+TEST(EnvClusPersistenceTest, SerializeRestoresForecasts) {
+  const BoundingBox box{34.0, 18.0, 44.0, 30.0};
+  const World world = World::RegionalWorld(box, 3, 13);
+  EnvClusModel model(&world);
+  const Lane* lane = nullptr;
+  for (const Lane& l : world.lanes()) {
+    if (l.from_port == 0 && l.to_port == 1) lane = &l;
+  }
+  ASSERT_NE(lane, nullptr);
+  for (int i = 0; i < 4; ++i) {
+    model.AddTrip(
+        LaneTrip(*lane, 500 + static_cast<Mmsi>(i), VesselType::kTanker));
+  }
+
+  const std::string blob = model.Serialize();
+  EnvClusModel restored(&world);
+  ASSERT_TRUE(restored.Deserialize(blob).ok());
+  EXPECT_EQ(restored.TotalTrips(), model.TotalTrips());
+  EXPECT_EQ(restored.KnownOdPairs(), model.KnownOdPairs());
+
+  auto original_route = model.ForecastRoute(0, 1, VesselType::kTanker);
+  auto restored_route = restored.ForecastRoute(0, 1, VesselType::kTanker);
+  ASSERT_TRUE(original_route.ok());
+  ASSERT_TRUE(restored_route.ok());
+  ASSERT_EQ(original_route->size(), restored_route->size());
+  for (size_t i = 0; i < original_route->size(); ++i) {
+    EXPECT_DOUBLE_EQ((*original_route)[i].lat_deg,
+                     (*restored_route)[i].lat_deg);
+    EXPECT_DOUBLE_EQ((*original_route)[i].lon_deg,
+                     (*restored_route)[i].lon_deg);
+  }
+}
+
+TEST(EnvClusPersistenceTest, RejectsBadBlobs) {
+  const BoundingBox box{34.0, 18.0, 44.0, 30.0};
+  const World world = World::RegionalWorld(box, 2, 13);
+  EnvClusModel model(&world);
+  EXPECT_FALSE(model.Deserialize("").ok());
+  EXPECT_FALSE(model.Deserialize("wrong-magic 6 0 0\n").ok());
+  // Resolution mismatch.
+  EnvClusModel::Config other;
+  other.resolution = 8;
+  EnvClusModel fine(&world, other);
+  EXPECT_EQ(fine.Deserialize(model.Serialize()).code(),
+            StatusCode::kFailedPrecondition);
+  // Truncated edge list.
+  EXPECT_FALSE(model.Deserialize("marlin-envclus-v1 6 1 1\nG 0 1 1 5\n").ok());
+}
+
+TEST(EnvClusPersistenceTest, EmptyModelRoundTrips) {
+  const BoundingBox box{34.0, 18.0, 44.0, 30.0};
+  const World world = World::RegionalWorld(box, 2, 13);
+  EnvClusModel model(&world);
+  EnvClusModel restored(&world);
+  ASSERT_TRUE(restored.Deserialize(model.Serialize()).ok());
+  EXPECT_EQ(restored.TotalTrips(), 0);
+  EXPECT_EQ(restored.KnownOdPairs(), 0);
 }
 
 // ---------------------------------------------------------- PatternsOfLife
